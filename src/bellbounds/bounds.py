@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InvariantViolation, QuantumState, anticommutator, expectation
-from .observables import MeasurementScenario, embed_local, validate_dichotomic
+from .linalg import (
+    InvariantViolation,
+    QuantumState,
+    anticommutator,
+    expectation,
+    reduced_state,
+)
+from .observables import MeasurementScenario, validate_dichotomic
 
 CLAMP_TOL = 1e-10
 COMMUTATION_TOL = 1e-10
@@ -29,13 +35,22 @@ def _clamped(value: float, low: float, high: float, what: str) -> float:
     return min(max(value, low), high)
 
 
+def _reduced(scenario, state: QuantumState, *parties: int) -> QuantumState:
+    if state.n_parties != scenario.n_parties:
+        raise ValueError(
+            f"state spans {state.n_parties} parties, scenario {scenario.n_parties}"
+        )
+    return reduced_state(state, parties)
+
+
+def _pair_operator(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """kron(first, second) for 2x2 factors, without np.kron's call overhead."""
+    return (first[:, None, :, None] * second[None, :, None, :]).reshape(4, 4)
+
+
 def _mean_square(state: QuantumState, operator: np.ndarray) -> float:
-    """<operator**2> as a sum of squares; nonnegative even in floating point."""
-    if state.kind == "pure":
-        applied = operator @ state.amplitudes
-        return float(np.real(np.vdot(applied, applied)))
-    sandwich = operator @ state.density @ operator
-    return float(np.real(np.trace(sandwich)))
+    """<operator**2> = Tr(O rho O^dagger) on a reduced (mixed) state."""
+    return float(np.real(np.vdot(operator, operator @ state.density)))
 
 
 def _anticommutator_mean(
@@ -57,15 +72,10 @@ def _anticommutator_mean(
 
 
 def eta(scenario: MeasurementScenario, state: QuantumState, party: int) -> float:
-    """(<{A0, A1}>/2)**2 for one party's observables, clamped to [0, 1]."""
-    first = scenario.observable(party, 0)
-    second = scenario.observable(party, 1)
-    n = scenario.n_parties
-    half_mean = 0.5 * _anticommutator_mean(
-        state,
-        embed_local(first.local, party, n),
-        embed_local(second.local, party, n),
-    )
+    """(<{A0, A1}>/2)**2 on one party's 2x2 reduced state, clamped to [0, 1]."""
+    first, second = (scenario.observable(party, s).local for s in (0, 1))
+    local = _reduced(scenario, state, party)
+    half_mean = 0.5 * _anticommutator_mean(local, first, second)
     return _clamped(half_mean * half_mean, 0.0, 1.0, f"eta({party})")
 
 
@@ -88,22 +98,17 @@ def chi(
     """Bipartite cross-setting anticommutator mean, clamped to [-2, 2].
 
     sign '+' pairs A0(n)A1(m) with A1(n)A0(m); sign '-' pairs A0(n)A0(m)
-    with A1(n)A1(m).  The products square to the identity, so the mean is
-    evaluated in the sum-of-squares form of _anticommutator_mean.
+    with A1(n)A1(m).  The products square to the identity, so the mean over
+    the pair's 4x4 reduced state uses _anticommutator_mean's sum of squares.
     """
-    if n == m:
-        raise ValueError("chi needs two distinct parties")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    parties = scenario.n_parties
-    an0 = scenario.observable(n, 0).embedded(parties)
-    an1 = scenario.observable(n, 1).embedded(parties)
-    am0 = scenario.observable(m, 0).embedded(parties)
-    am1 = scenario.observable(m, 1).embedded(parties)
+    an = [scenario.observable(n, s).local for s in (0, 1)]
+    am = [scenario.observable(m, s).local for s in (0, 1)]
     if sign == "+":
-        value = _anticommutator_mean(state, an0 @ am1, an1 @ am0)
-    else:
-        value = _anticommutator_mean(state, an0 @ am0, an1 @ am1)
+        am.reverse()  # '+' crosses the settings of m
+    first, second = (_pair_operator(an[s], am[s]) for s in (0, 1))
+    value = _anticommutator_mean(_reduced(scenario, state, n, m), first, second)
     return _clamped(value, -2.0, 2.0, f"chi{sign}({n},{m})")
 
 
@@ -243,18 +248,17 @@ def classical_pair_report(
     """Bound report for a pair whose settings mutually commute.
 
     quad_corr is <A0(n) A1(n) A0(m) A1(m)>; the product must be Hermitian,
-    which holds exactly when each party's two observables commute.
+    which holds exactly when each party's two observables commute.  It is
+    read on the pair's 4x4 reduced state.
     """
     parties = scenario.n_parties
-    if n == m:
-        raise ValueError("the classical pair needs two distinct parties")
-    product = (
-        scenario.observable(n, 0).embedded(parties)
-        @ scenario.observable(n, 1).embedded(parties)
-        @ scenario.observable(m, 0).embedded(parties)
-        @ scenario.observable(m, 1).embedded(parties)
+    local_n, local_m = (
+        scenario.observable(p, 0).local @ scenario.observable(p, 1).local
+        for p in (n, m)
     )
-    quad = _clamped(expectation(state, product), -1.0, 1.0, f"quad_corr({n},{m})")
+    pair = _reduced(scenario, state, n, m)
+    value = expectation(pair, _pair_operator(local_n, local_m))
+    quad = _clamped(value, -1.0, 1.0, f"quad_corr({n},{m})")
     return BoundReport(
         kind="mk-classical-pair",
         n_parties=parties,

@@ -21,15 +21,17 @@ from .bounds import (
     covariance_inequality,
 )
 from .linalg import (
+    ID2,
     InvariantViolation,
     QuantumState,
     covariance_witness,
     expectation,
     ghz_state,
     jacobi_eigenvalues,
+    kron_chain,
     read_state_file,
 )
-from .observables import MeasurementScenario
+from .observables import MeasurementScenario, embed_local
 from .polynomials import BellPolynomial, mk, realize, svetlichny
 from .rng import SplitMix64
 
@@ -229,12 +231,11 @@ def _random_state(rng: SplitMix64, n_parties: int) -> QuantumState:
 
 
 def _random_block_product(rng: SplitMix64, scenario, parties, n_parties: int) -> np.ndarray:
-    """Product over the given parties of one randomly chosen setting each."""
-    out = None
+    """Kronecker chain of one random setting per listed party, ID2 elsewhere."""
+    factors = [ID2] * n_parties
     for party in parties:
-        mat = scenario.observable(party, rng.below(2)).embedded(n_parties)
-        out = mat if out is None else out @ mat
-    return out
+        factors[party - 1] = scenario.observable(party, rng.below(2)).local
+    return kron_chain(factors)
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 violations += 1
 
         operators = [
-            scenario.observable(party, setting).embedded(n)
+            embed_local(scenario.observable(party, setting).local, party, n)
             for party in range(1, n + 1)
             for setting in (0, 1)
         ]
@@ -509,10 +510,7 @@ def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
         operator = None
 
     def score(params: np.ndarray) -> float:
-        try:
-            scenario = _scenario_from_params(params, n, config.family)
-        except ValueError:
-            return math.inf  # degenerate bloch direction
+        scenario = _scenario_from_params(params, n, config.family)
         if operator is not None:
             return -abs(expectation(state, realize(operator, scenario)))
         report = best_svetlichny_bound(scenario, state)

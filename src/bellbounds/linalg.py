@@ -160,6 +160,29 @@ def ghz_state(n_parties: int) -> QuantumState:
     return QuantumState.pure(amps)
 
 
+def reduced_state(state: QuantumState, parties) -> QuantumState:
+    """Partial trace onto the listed parties (1-based), kept in the given order.
+
+    The input is already validated, so the result is only symmetrized and frozen.
+    """
+    n = state.n_parties
+    keep = [party - 1 for party in parties]
+    if not keep or len(set(keep)) != len(keep) or not all(0 <= p < n for p in keep):
+        raise ValueError(f"parties {tuple(parties)} must be distinct and in 1..{n}")
+    order = keep + [p for p in range(n) if p not in keep]
+    kept, traced = 1 << len(keep), 1 << (n - len(keep))
+    if state.kind == "pure":
+        psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(kept, traced)
+        rho = psi @ psi.conj().T
+    else:
+        tensor = state.density.reshape((2,) * (2 * n))
+        tensor = tensor.transpose(order + [n + p for p in order])
+        rho = np.einsum("ajbj->ab", tensor.reshape(kept, traced, kept, traced))
+    rho = (rho + rho.conj().T) / 2.0
+    rho.setflags(write=False)
+    return QuantumState(len(keep), "mixed", None, rho)
+
+
 def expectation(state: QuantumState, observable) -> float:
     """<psi|O|psi> for pure states, Tr(rho O) for mixed; Hermitian O only.
 

@@ -1,4 +1,4 @@
-"""Per-party dichotomic (+/-1 outcome) observables and their embeddings.
+"""Per-party dichotomic (+/-1 outcome) observables.
 
 Parties are numbered 1..N, matching the superscripts used throughout;
 party 1 sits in the leftmost tensor slot.
@@ -69,14 +69,9 @@ def bloch_observable(nx: float, ny: float, nz: float) -> np.ndarray:
 
 
 class DichotomicObservable:
-    """A validated +/-1 observable bound to a party (1-based) and setting (0/1).
+    """A validated +/-1 observable bound to a party (1-based) and setting (0/1)."""
 
-    Full-space embeddings are built lazily and cached per total party count.
-    The cache insert is idempotent (same key always maps to an equal frozen
-    array), so concurrent readers and writers cannot observe a torn value.
-    """
-
-    __slots__ = ("local", "party", "setting", "_embeddings")
+    __slots__ = ("local", "party", "setting")
 
     def __init__(self, local, party: int, setting: int):
         arr = np.array(local, dtype=complex)
@@ -91,15 +86,6 @@ class DichotomicObservable:
         self.local = arr
         self.party = party
         self.setting = setting
-        self._embeddings = {}
-
-    def embedded(self, n_parties: int) -> np.ndarray:
-        """I x ... x local x ... x I with the local factor at this party's slot."""
-        cached = self._embeddings.get(n_parties)
-        if cached is None:
-            cached = embed_local(self.local, self.party, n_parties)
-            self._embeddings[n_parties] = cached
-        return cached
 
     def __repr__(self):
         return f"DichotomicObservable(party={self.party}, setting={self.setting})"
@@ -121,11 +107,6 @@ def embed_local(local, party: int, n_parties: int) -> np.ndarray:
     out = np.kron(np.kron(left, arr), right)
     out.setflags(write=False)
     return out
-
-
-def embed(observable: DichotomicObservable, n_parties: int) -> np.ndarray:
-    """Cached full-space matrix of a per-party observable."""
-    return observable.embedded(n_parties)
 
 
 class MeasurementScenario:

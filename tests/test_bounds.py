@@ -143,7 +143,7 @@ class TestChi:
         scenario = ghz3_scenario((a0, a1), (b0, b1))
         state = ghz_state(3)
         obs = {
-            (p, s): scenario.observable(p, s).embedded(3)
+            (p, s): embed_local(scenario.observable(p, s).local, p, 3)
             for p in (1, 2) for s in (0, 1)
         }
         for sign, pairing in (
@@ -269,6 +269,77 @@ class TestClassicallyCorrelatedPairs:
         assert report.kind == "mk-classical-pair"
         assert -1.0 <= report.witness["quad_corr"] <= 1.0
         assert 2.0 <= report.value <= 2.0 * ROOT2 + 1e-12
+
+
+def random_states(seed, n_parties):
+    """A random pure state and a rank-2 mixture on n_parties qubits."""
+    gen = np.random.default_rng(seed)
+    dim = 1 << n_parties
+    vecs = gen.normal(size=(2, dim)) + 1j * gen.normal(size=(2, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weight = gen.uniform()
+    rho = weight * np.outer(vecs[0], vecs[0].conj())
+    rho += (1.0 - weight) * np.outer(vecs[1], vecs[1].conj())
+    return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
+
+
+def embedded_observables(scenario):
+    n = scenario.n_parties
+    return {
+        (p, s): embed_local(scenario.observable(p, s).local, p, n)
+        for p in range(1, n + 1)
+        for s in (0, 1)
+    }
+
+
+class TestReducedRouteMatchesDense:
+    """eta, chi and quad_corr read reduced states; check them against the
+    dense full-space definitions on every party and ordered pair."""
+
+    @pytest.mark.parametrize("n_parties", range(2, 8))
+    def test_eta_and_chi(self, n_parties):
+        scenario = random_scenario(4200 + n_parties, n_parties, "bloch")
+        obs = embedded_observables(scenario)
+        parties = range(1, n_parties + 1)
+        for state in random_states(n_parties, n_parties):
+            for p in parties:
+                half = 0.5 * expectation(state, anticommutator(obs[p, 0], obs[p, 1]))
+                assert abs(eta(scenario, state, p) - min(half * half, 1.0)) < 1e-12
+            for n, m in ((n, m) for n in parties for m in parties if n != m):
+                for sign, ((s0, t0), (s1, t1)) in (
+                    ("+", ((0, 1), (1, 0))),
+                    ("-", ((0, 0), (1, 1))),
+                ):
+                    direct = expectation(
+                        state,
+                        anticommutator(obs[n, s0] @ obs[m, t0], obs[n, s1] @ obs[m, t1]),
+                    )
+                    assert abs(chi(scenario, state, n, m, sign) - direct) < 1e-12
+
+    @pytest.mark.parametrize("n_parties", (3, 5, 7))
+    def test_quad_corr_on_commuting_settings(self, n_parties):
+        rng = SplitMix64(77 + n_parties)
+        scenario = diagonal_scenario(rng, n_parties)
+        obs = embedded_observables(scenario)
+        parties = range(1, n_parties + 1)
+        states = random_states(n_parties, n_parties) + (diagonal_state(rng, n_parties),)
+        for state in states:
+            for n, m in ((n, m) for n in parties for m in parties if n != m):
+                direct = expectation(
+                    state, obs[n, 0] @ obs[n, 1] @ obs[m, 0] @ obs[m, 1]
+                )
+                report = classical_pair_report(scenario, state, n, m)
+                assert abs(report.witness["quad_corr"] - direct) < 1e-12
+
+    def test_party_count_mismatch_is_rejected(self):
+        scenario = ghz3_scenario((0.0, 1.0))
+        state = ghz_state(4)
+        with pytest.raises(ValueError, match="parties"):
+            eta(scenario, state, 1)
+        with pytest.raises(ValueError, match="parties"):
+            chi(scenario, state, 1, 2, "+")
+        with pytest.raises(ValueError, match="parties"):
+            classical_pair_report(scenario, state, 1, 2)
 
 
 class TestBestSvetlichnyBound:

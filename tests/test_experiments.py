@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellbounds import InvariantViolation, experiments
 from bellbounds.experiments import (
     SWEEP_CSV_HEADER,
     HarnessReport,
@@ -241,6 +242,16 @@ class TestMaximizeViolation:
             )
         )
         assert result.value >= -1e-9
+
+    def test_scenario_errors_propagate(self, monkeypatch):
+        def broken(params, n_parties, family):
+            raise InvariantViolation("injected scenario failure")
+
+        monkeypatch.setattr(experiments, "_scenario_from_params", broken)
+        with pytest.raises(InvariantViolation, match="injected"):
+            maximize_violation(
+                OptimizerConfig(n_parties=2, multistarts=1, max_evals=10)
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from bellbounds import (
     tensor_product,
     write_state_file,
 )
+from bellbounds.linalg import kron_chain, reduced_state
 from bellbounds.rng import SplitMix64
 
 from oracles import ghz_planar_correlator
@@ -165,6 +166,43 @@ class TestExpectation:
         )
         got = expectation(state, product)
         assert abs(got - ghz_planar_correlator(thetas)) < 1e-12
+
+
+class TestReducedState:
+    def random_pure(self, seed, n_parties):
+        amps = random_complex(SplitMix64(seed), (1 << n_parties,))
+        return QuantumState.pure(amps / np.linalg.norm(amps))
+
+    def test_pure_and_mixed_routes_agree(self):
+        pure = self.random_pure(5, 4)
+        mixed = QuantumState.mixed(pure.density_matrix())
+        for parties in ((2,), (1, 4), (4, 1), (3, 1, 2), (1, 2, 3, 4)):
+            got = reduced_state(pure, parties).density
+            want = reduced_state(mixed, parties).density
+            assert np.max(np.abs(got - want)) < 1e-15
+
+    def test_keeps_the_given_party_order(self):
+        # Tr(rho_(3,1) (A x B)) must equal <B at party 1, A at party 3>
+        state = self.random_pure(11, 3)
+        a = planar_observable(0.4)
+        b = planar_observable(-1.1)
+        local = expectation(reduced_state(state, (3, 1)), tensor_product(a, b))
+        full = expectation(state, kron_chain((b, ID2, a)))
+        assert abs(local - full) < 1e-14
+
+    def test_is_a_frozen_unit_trace_density(self):
+        reduced = reduced_state(ghz_state(5), (2, 4))
+        assert reduced.kind == "mixed"
+        assert reduced.n_parties == 2
+        assert np.array_equal(reduced.density, reduced.density.conj().T)
+        assert abs(np.trace(reduced.density) - 1.0) < 1e-15
+        with pytest.raises(ValueError):
+            reduced.density[0, 0] = 1.0
+
+    @pytest.mark.parametrize("parties", [(), (1, 1), (0,), (4,)])
+    def test_rejects_bad_party_lists(self, parties):
+        with pytest.raises(ValueError):
+            reduced_state(ghz_state(3), parties)
 
 
 class TestJacobi:

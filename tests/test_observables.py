@@ -14,7 +14,6 @@ from bellbounds import (
     InvariantViolation,
     MeasurementScenario,
     bloch_observable,
-    embed,
     embed_local,
     planar_observable,
     read_scenario_file,
@@ -114,16 +113,15 @@ class TestDichotomicObservable:
     def test_embedded_matches_kron_chain(self):
         obs = DichotomicObservable(SIGMA_Y, 2, 0)
         want = functools.reduce(tensor_product, (ID2, SIGMA_Y, ID2))
-        assert np.array_equal(obs.embedded(3), want)
-
-    def test_embedding_cache_returns_same_array(self):
-        obs = DichotomicObservable(SIGMA_X, 1, 0)
-        assert obs.embedded(3) is obs.embedded(3)
+        assert np.array_equal(embed_local(obs.local, obs.party, 3), want)
 
     def test_embedded_is_frozen(self):
         obs = DichotomicObservable(SIGMA_X, 1, 0)
         with pytest.raises(ValueError):
-            obs.embedded(2)[0, 0] = 1.0
+            embed_local(obs.local, obs.party, 2)[0, 0] = 1.0
+
+    def test_slots_hold_no_cache(self):
+        assert DichotomicObservable.__slots__ == ("local", "party", "setting")
 
 
 class TestEmbedLocal:
@@ -145,10 +143,6 @@ class TestEmbedLocal:
     def test_dimension_cap(self):
         with pytest.raises(InvariantViolation):
             embed_local(SIGMA_X, 1, 13)
-
-    def test_embed_delegates(self):
-        obs = DichotomicObservable(SIGMA_Z, 1, 1)
-        assert np.array_equal(embed(obs, 2), embed_local(SIGMA_Z, 1, 2))
 
 
 class TestMeasurementScenario:
