@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import FileFormatError, InvariantViolation, kron_chain
+from .linalg import DIM_CAP, FileFormatError, InvariantViolation
 from .observables import MeasurementScenario
 from .rng import SplitMix64
 
@@ -178,9 +178,15 @@ def relabel(polynomial: BellPolynomial) -> BellPolynomial:
 def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.ndarray:
     """Dense matrix sum of coeff * (tensor of party locals at the term's settings).
 
-    Terms are accumulated per {settings, flipped settings} pair in sorted
-    order, so a relabeled polynomial on a setting-swapped scenario sums the
-    same floats in a commuted order and lands on the identical matrix.
+    Factored one party at a time: the coefficients fill a (2,)*N table, and
+    from party N down to 1 the trailing setting axis of each block B becomes
+    A_p[0] (x) B[..., 0] + A_p[1] (x) B[..., 1].  That is about 2 * 4**N
+    complex multiply-adds (8**N for a Kronecker chain per term), with a peak
+    of about 2.5 matrices of 2**N x 2**N (670 MB at N = 12).
+
+    Each setting sum is one elementwise two-term add and x + y == y + x in
+    IEEE arithmetic, so a relabeled polynomial on a setting-swapped scenario
+    gives the identical matrix, and Hermitian locals an exactly Hermitian one.
     """
     if polynomial.n_parties != scenario.n_parties:
         raise ValueError(
@@ -188,26 +194,19 @@ def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.nda
             f"scenario {scenario.n_parties}"
         )
     n = polynomial.n_parties
-    dim = 1 << n
-    if not polynomial.terms:
-        return np.zeros((dim, dim), dtype=complex)
-    groups: dict = {}
-    for settings in polynomial.terms:
-        canon = min(settings, _flip(settings))
-        groups.setdefault(canon, []).append(settings)
-    total = None
-    for canon in sorted(groups):
-        block = None
-        for settings in groups[canon]:
-            coeff = float(polynomial.terms[settings])
-            factors = [
-                scenario.observable(party, settings[party - 1]).local
-                for party in range(1, n + 1)
-            ]
-            term = coeff * kron_chain(factors)
-            block = term if block is None else block + term
-        total = block if total is None else total + block
-    return total
+    if 1 << n > DIM_CAP:
+        raise InvariantViolation(f"dimension {1 << n} exceeds the {DIM_CAP} cap")
+    block = np.zeros((2,) * n + (1, 1), dtype=complex)
+    for settings, coeff in polynomial.terms.items():
+        block[settings] = float(coeff)
+    for party in range(n, 0, -1):
+        shape = block.shape[: party - 1] + (2 * block.shape[-1],) * 2
+        a0, a1 = (obs.local[:, None, :, None] for obs in scenario.pairs[party - 1])
+        # kron(local, sub-block) at every leading index, by broadcasting
+        lifted = (a1 * block[..., 1, None, :, None, :]).reshape(shape)
+        block = (a0 * block[..., 0, None, :, None, :]).reshape(shape)
+        block += lifted
+    return block
 
 
 @dataclass(frozen=True)

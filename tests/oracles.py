@@ -8,9 +8,38 @@ library internals:
   * for one party, A(a)A(b) = cos(a - b) I - i sin(a - b) sigma_z, so a pair
     (n, m) of parties sees anticommutator means driven only by the setting
     gaps delta = theta_0 - theta_1 of each party.
+
+``dense_realize`` is the plain definition of a realized polynomial, one
+Kronecker chain per term, kept as the dense reference for the library's
+factored ``realize``.
 """
 
 import math
+from functools import reduce
+
+import numpy as np
+
+
+def dense_realize(polynomial, scenario) -> np.ndarray:
+    """Sum of coeff * kron(A_1[s_1], ..., A_N[s_N]) over the (nonempty) terms.
+
+    The terms are added as a balanced binary tree, so the summation error
+    grows with the tree depth N rather than with the 2**N term count.
+    """
+    def term(settings, coeff):
+        locals_ = [
+            scenario.observable(party, s).local
+            for party, s in enumerate(settings, start=1)
+        ]
+        return float(coeff) * reduce(np.kron, locals_)
+
+    def tree(items):
+        if len(items) == 1:
+            return term(*items[0])
+        mid = len(items) // 2
+        return tree(items[:mid]) + tree(items[mid:])
+
+    return tree(sorted(polynomial.terms.items()))
 
 
 def ghz_planar_correlator(thetas) -> float:
@@ -18,15 +47,19 @@ def ghz_planar_correlator(thetas) -> float:
 
 
 def poly_ghz_value(polynomial, scenario) -> float:
-    """Mean of a realized +/-1 polynomial on GHZ via the cos-sum rule."""
-    total = 0.0
+    """Mean of a realized +/-1 polynomial on GHZ via the cos-sum rule.
+
+    The terms are added with ``math.fsum``, so the only rounding left is
+    that of each cosine and of its angle sum.
+    """
+    terms = []
     for settings, coeff in polynomial.terms.items():
         thetas = [
             scenario.angles[party][setting]
             for party, setting in enumerate(settings)
         ]
-        total += float(coeff) * ghz_planar_correlator(thetas)
-    return total
+        terms.append(float(coeff) * ghz_planar_correlator(thetas))
+    return math.fsum(terms)
 
 
 def chi_ghz_pair(delta_n: float, delta_m: float, sign: str) -> float:

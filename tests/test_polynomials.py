@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from bellbounds import (
     BellPolynomial,
     EvenEquivalence,
     FileFormatError,
+    InvariantViolation,
     MeasurementScenario,
     check_equivalence_even,
     dump_terms,
@@ -17,12 +20,13 @@ from bellbounds import (
     is_permutation_invariant,
     mk,
     parse_terms,
+    random_scenario,
     realize,
     relabel,
     svetlichny,
 )
 
-from oracles import poly_ghz_value
+from oracles import dense_realize, poly_ghz_value
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -33,6 +37,38 @@ def planar_scenario(flat_angles):
         for k in range(len(flat_angles) // 2)
     )
     return MeasurementScenario.planar(pairs)
+
+
+def bloch_scenario(flat_angles):
+    """Two (polar, azimuth) angle pairs per party, one per setting."""
+    dirs = [
+        (
+            math.sin(flat_angles[2 * k]) * math.cos(flat_angles[2 * k + 1]),
+            math.sin(flat_angles[2 * k]) * math.sin(flat_angles[2 * k + 1]),
+            math.cos(flat_angles[2 * k]),
+        )
+        for k in range(len(flat_angles) // 2)
+    ]
+    return MeasurementScenario.bloch(list(zip(dirs[0::2], dirs[1::2])))
+
+
+_DYADIC = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), 0, 3, Fraction(-1, 4))
+
+
+def dyadic_polynomial(n):
+    """Non-unit dyadic coefficients on most settings, zero on every 6th."""
+    settings = sorted(itertools.product((0, 1), repeat=n))
+    return BellPolynomial(
+        n, {key: _DYADIC[k % len(_DYADIC)] for k, key in enumerate(settings)}
+    )
+
+
+def realize_test_polynomials(n):
+    """svetlichny(n, +/-), mk(n), a non-unit dyadic and a one-term polynomial."""
+    polys = [mk(n), dyadic_polynomial(n), parse_terms("+1 " + "0" * (n - 1) + "1\n")]
+    if n >= 2:
+        polys += [svetlichny(n, "+"), svetlichny(n, "-")]
+    return polys
 
 
 class TestConstruction:
@@ -139,19 +175,79 @@ class TestRealize:
             got = expectation(state, realize(poly, scenario))
             assert abs(got - poly_ghz_value(poly, scenario)) < 1e-10
 
-    @given(st.lists(angles, min_size=4, max_size=4))
-    def test_relabel_equals_swapped_settings_bitwise(self, flat):
-        scenario = planar_scenario(flat)
-        for poly in (svetlichny(2, "-"), mk(2)):
+    # Both identities rest on each setting sum being one two-term IEEE add;
+    # a contraction over the setting axis (einsum, matmul) may round the
+    # two orders differently.
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.booleans(),
+        st.lists(angles, min_size=24, max_size=24),
+    )
+    def test_relabel_equals_swapped_settings_bitwise(self, n, bloch, flat):
+        build = bloch_scenario if bloch else planar_scenario
+        scenario = build(flat[: (4 if bloch else 2) * n])
+        polys = (svetlichny(n, "-"), svetlichny(n, "+"), mk(n), dyadic_polynomial(n))
+        for poly in polys:
             assert np.array_equal(
                 realize(relabel(poly), scenario),
                 realize(poly, scenario.with_swapped_settings()),
             )
 
     def test_realized_operator_is_hermitian_bitwise(self):
-        scenario = planar_scenario([0.3, -0.8, 1.1, 0.2, -2.0, 0.9])
-        op = realize(svetlichny(3, "-"), scenario)
-        assert np.array_equal(op, op.conj().T)
+        for n in range(1, 8):
+            for family in ("planar", "bloch"):
+                scenario = random_scenario(7100 + n, n, family)
+                for poly in realize_test_polynomials(n):
+                    op = realize(poly, scenario)
+                    assert np.array_equal(op, op.conj().T), (n, family, poly)
+
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_oracle(self, n, family):
+        # u = eps / 2.  Every local entry has modulus <= 1.  Per term, the
+        # factored route rounds one complex product (sqrt(5) u) and one add
+        # (u) per party; the oracle rounds N - 1 Kronecker products and the
+        # coefficient product, then N levels of its summation tree.  Both
+        # together stay below 8 N u = 4 N eps per term, and the terms sum
+        # to at most sum|c| <= 2**N max|c|.
+        eps = np.finfo(float).eps
+        scenario = random_scenario(9300 + n, n, family)
+        for poly in realize_test_polynomials(n):
+            weight = float(sum(abs(c) for c in poly.terms.values()))
+            gap = np.max(np.abs(realize(poly, scenario) - dense_realize(poly, scenario)))
+            assert gap <= 4 * n * eps * weight, (poly, gap)
+
+    def test_rejects_more_than_twelve_parties_before_allocating(self):
+        poly = BellPolynomial(13, {(0,) * 13: 1})
+        scenario = planar_scenario([0.0, 1.0] * 13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantViolation, match="cap"):
+                realize(poly, scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_empty_polynomial_is_zero_matrix(self):
+        op = realize(BellPolynomial(3, {}), random_scenario(5, 3, "bloch"))
+        assert op.shape == (8, 8) and op.dtype == complex
+        assert not np.any(op)
+
+    @pytest.mark.parametrize("n", [7, 9, 10])
+    def test_ghz_closed_form_at_large_n(self, n):
+        # Each realized entry sums 2**N unit-modulus terms, each rounded by
+        # N products, N adds and the N planar locals' own cos/sin: at most
+        # (sqrt(5) + 1 + sqrt(2)) N u < 5 N u per term.  The GHZ mean reads
+        # four corner entries with weight 1/2, doubling that.  The angles
+        # lie in [0, 2 pi), so the fsum oracle is off by at most
+        # (2 pi N + 2) u per term.  Together below 24 N 2**N u.
+        tol = 12 * n * 2**n * np.finfo(float).eps
+        scenario = random_scenario(8800 + n, n, "planar")
+        state = ghz_state(n)
+        for poly in (mk(n), svetlichny(n, "-")):
+            got = expectation(state, realize(poly, scenario))
+            assert abs(got - poly_ghz_value(poly, scenario)) <= tol
 
     def test_party_count_mismatch(self):
         scenario = planar_scenario([0.0, 1.0])
