@@ -3,11 +3,14 @@
 Build the exact symbolic operators, realize them against measurement
 scenarios on arbitrary finite-dimensional states, and tighten the flat
 2**(N-1) sqrt(2) ceiling using measured local and bipartite correlations.
+
+Only the documented entry points are exported here; everything else is
+imported from its submodule (``bellbounds.linalg``, ``bellbounds.bounds``,
+...).
 """
 
 from .bounds import (
     BoundReport,
-    CovarianceInequality,
     best_mk_bound,
     best_svetlichny_bound,
     chi,
@@ -19,124 +22,67 @@ from .bounds import (
     svetlichny_bound,
 )
 from .experiments import (
-    HarnessReport,
-    OptimizationResult,
     OptimizerConfig,
     SweepConfig,
-    SweepRow,
     figure_sweep,
     maximize_violation,
-    nelder_mead,
-    random_scenario,
     verify_bounds_random,
-    write_sweep_csv,
 )
 from .linalg import (
-    DIM_CAP,
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    CovarianceWitness,
     FileFormatError,
     InvariantViolation,
     QuantumState,
-    anticommutator,
-    covariance_witness,
     expectation,
     ghz_state,
-    is_psd,
-    jacobi_eigenvalues,
-    read_state_file,
-    tensor_product,
     write_state_file,
 )
 from .observables import (
     DichotomicObservable,
-    DichotomicViolation,
     MeasurementScenario,
-    bloch_observable,
-    embed_local,
-    planar_observable,
-    read_scenario_file,
-    validate_dichotomic,
     write_scenario_file,
 )
 from .polynomials import (
     BellPolynomial,
-    EvenEquivalence,
     check_equivalence_even,
     dump_terms,
-    is_permutation_invariant,
     mk,
     parse_terms,
     realize,
-    relabel,
     svetlichny,
 )
-from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BellPolynomial",
     "BoundReport",
-    "CovarianceInequality",
-    "CovarianceWitness",
     "DichotomicObservable",
-    "DichotomicViolation",
-    "DIM_CAP",
-    "EvenEquivalence",
     "FileFormatError",
-    "HarnessReport",
-    "ID2",
     "InvariantViolation",
     "MeasurementScenario",
-    "OptimizationResult",
     "OptimizerConfig",
     "QuantumState",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SplitMix64",
     "SweepConfig",
-    "SweepRow",
-    "anticommutator",
     "best_mk_bound",
     "best_svetlichny_bound",
-    "bloch_observable",
     "check_equivalence_even",
     "chi",
     "classical_pair_report",
     "covariance_inequality",
-    "covariance_witness",
     "dump_terms",
-    "embed_local",
     "eta",
     "expectation",
     "figure_sweep",
     "ghz_state",
-    "is_permutation_invariant",
-    "is_psd",
-    "jacobi_eigenvalues",
     "maximize_violation",
     "mk",
     "mk_bound_classical_pair",
     "mk_bound_odd",
-    "nelder_mead",
     "parse_terms",
-    "planar_observable",
-    "random_scenario",
-    "read_scenario_file",
-    "read_state_file",
     "realize",
-    "relabel",
     "svetlichny",
     "svetlichny_bound",
-    "tensor_product",
-    "validate_dichotomic",
     "verify_bounds_random",
     "write_scenario_file",
     "write_state_file",
-    "write_sweep_csv",
 ]

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    IMAG_TOL,
     InvariantViolation,
     QuantumState,
-    anticommutator,
     expectation,
+    product_mean,
     reduced_state,
 )
-from .observables import MeasurementScenario, validate_dichotomic
+from .observables import DichotomicObservable, MeasurementScenario
 
 CLAMP_TOL = 1e-10
-COMMUTATION_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
 
 
@@ -281,6 +281,18 @@ class CovarianceInequality:
     m_parity: int
 
 
+def _by_party(block, name: str) -> dict:
+    """Map each observable's party to its 2x2 local; one entry per party."""
+    factors = {}
+    for obs in block:
+        if not isinstance(obs, DichotomicObservable):
+            raise TypeError(f"{name} block entries must be DichotomicObservable")
+        if obs.party in factors:
+            raise ValueError(f"{name} block repeats party {obs.party}")
+        factors[obs.party] = obs.local
+    return factors
+
+
 def covariance_inequality(
     state: QuantumState,
     first,
@@ -291,47 +303,43 @@ def covariance_inequality(
 ) -> CovarianceInequality:
     """|<B_i C> + (-1)^m <B_j C>| <= sqrt(2 + (-1)^m <{B_i, B_j}>).
 
-    ``first`` and ``second`` are the same-block dichotomic operators (the X
-    block for side 'X', the Y block for side 'Y'); ``other`` is a single
-    dichotomic operator on the complementary block and must commute with
-    both within 1e-10.  The inequality itself is block-symmetric; ``side``
-    records which reading produced it.
+    Each block is a sequence of DichotomicObservable, at most one per party,
+    standing for the product of their locals (identity on the other
+    parties): ``first`` and ``second`` are B_i and B_j on one block (X for
+    side 'X', Y for side 'Y'), ``other`` is C on the complementary block.
+    The locals were validated when built, and C commutes with B_i and B_j
+    because its parties are disjoint from theirs, so only that structure is
+    checked.  Three product means are read -- <B_i C>, <B_j C> and
+    <{B_i, B_j}> = 2 Re<B_i B_j> -- each at N 2**N (pure) or N 4**N (mixed)
+    cost.  The inequality itself is block-symmetric; ``side`` records which
+    reading produced it.
     """
     if side not in ("X", "Y"):
         raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
     if m_parity not in (0, 1):
         raise ValueError(f"m_parity must be 0 or 1, got {m_parity!r}")
-    mats = []
-    for name, op in (("first", first), ("second", second), ("other", other)):
-        arr = np.asarray(op, dtype=complex)
-        report = validate_dichotomic(arr)
-        if report is not None:
-            raise InvariantViolation(f"{name} operator is not dichotomic: {report}")
-        if arr.shape[0] != state.dim:
-            raise ValueError(
-                f"{name} operator dimension {arr.shape[0]} does not match state "
-                f"dimension {state.dim}"
-            )
-        mats.append(arr)
-    b_i, b_j, c_op = mats
-    for name, block in (("first", b_i), ("second", b_j)):
-        residue = float(np.max(np.abs(block @ c_op - c_op @ block)))
-        if residue > COMMUTATION_TOL:
-            raise InvariantViolation(
-                f"{name} operator does not commute with the other block: "
-                f"residue {residue:.3e}"
-            )
-    sign = -1.0 if m_parity else 1.0
-    # products are Hermitian only up to the commutation residue; symmetrize
-    # before the expectation's 1e-12 hermiticity gate
-    prod_i = b_i @ c_op
-    prod_i = (prod_i + prod_i.conj().T) / 2.0
-    prod_j = b_j @ c_op
-    prod_j = (prod_j + prod_j.conj().T) / 2.0
-    lhs = abs(expectation(state, prod_i) + sign * expectation(state, prod_j))
-    rhs = math.sqrt(
-        max(2.0 + sign * expectation(state, anticommutator(b_i, b_j)), 0.0)
+    b_i, b_j, c_op = (
+        _by_party(block, name)
+        for name, block in (("first", first), ("second", second), ("other", other))
     )
+    shared = sorted((b_i.keys() | b_j.keys()) & c_op.keys())
+    if shared:
+        raise ValueError(f"other block shares parties {shared} with first/second")
+    correlators = []
+    for block in (b_i, b_j):
+        value = product_mean(state, {**block, **c_op})
+        if abs(value.imag) > IMAG_TOL:
+            raise InvariantViolation(
+                f"block correlator keeps imaginary residue {value.imag:.3e}"
+            )
+        correlators.append(value.real)
+    pair = dict(b_i)
+    for party, local in b_j.items():
+        pair[party] = pair[party] @ local if party in pair else local
+    anticommutator_mean = 2.0 * product_mean(state, pair).real
+    sign = -1.0 if m_parity else 1.0
+    lhs = abs(correlators[0] + sign * correlators[1])
+    rhs = math.sqrt(max(2.0 + sign * anticommutator_mean, 0.0))
     return CovarianceInequality(
         lhs=lhs, rhs=rhs, slack=rhs - lhs, side=side, m_parity=m_parity
     )

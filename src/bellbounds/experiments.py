@@ -21,14 +21,12 @@ from .bounds import (
     covariance_inequality,
 )
 from .linalg import (
-    ID2,
     InvariantViolation,
     QuantumState,
     covariance_witness,
     expectation,
     ghz_state,
     jacobi_eigenvalues,
-    kron_chain,
     read_state_file,
 )
 from .observables import MeasurementScenario, embed_local
@@ -230,12 +228,9 @@ def _random_state(rng: SplitMix64, n_parties: int) -> QuantumState:
     return _haar_pure(rng, n_parties)
 
 
-def _random_block_product(rng: SplitMix64, scenario, parties, n_parties: int) -> np.ndarray:
-    """Kronecker chain of one random setting per listed party, ID2 elsewhere."""
-    factors = [ID2] * n_parties
-    for party in parties:
-        factors[party - 1] = scenario.observable(party, rng.below(2)).local
-    return kron_chain(factors)
+def _random_block(rng: SplitMix64, scenario, parties) -> list:
+    """The observable of one random setting per listed party, in that order."""
+    return [scenario.observable(party, rng.below(2)) for party in parties]
 
 
 @dataclass(frozen=True)
@@ -270,12 +265,14 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     Trial t uses N = n_min + (t mod span).  One SplitMix64(seed) stream
     drives the whole run; per trial the draw order is: state (kind flag,
     then amplitudes/mixture), family flag, scenario, bipartition mask,
-    settings for the three X-side products, settings for the three Y-side
-    products.  Checked per trial: both Svetlichny parities against the
-    eta-refined bound, odd-N MK against the chi-refined bound, the
-    two-block inequalities on a random bipartition (both sides, both
-    parities of m), and positive semidefiniteness of the full covariance
-    matrix of all 2N embedded observables.
+    then one setting per block party, in party order, for the X-side
+    blocks B_i, B_j (on X) and C (on Y), then for the Y-side blocks
+    B_i, B_j (on Y) and C (on X).  Checked per trial: both Svetlichny
+    parities against the eta-refined bound, odd-N MK against the
+    chi-refined bound, the two-block inequalities on the random
+    bipartition (both sides, both parities of m), evaluated on the drawn
+    per-party observables, and positive semidefiniteness of the full
+    covariance matrix of all 2N embedded observables.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -319,17 +316,17 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 break
         x_parties = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
         y_parties = [p for p in range(1, n + 1) if p not in x_parties]
-        x_i = _random_block_product(rng, scenario, x_parties, n)
-        x_j = _random_block_product(rng, scenario, x_parties, n)
-        y_k = _random_block_product(rng, scenario, y_parties, n)
+        x_i = _random_block(rng, scenario, x_parties)
+        x_j = _random_block(rng, scenario, x_parties)
+        y_k = _random_block(rng, scenario, y_parties)
         for m_parity in (0, 1):
             record = covariance_inequality(state, x_i, x_j, y_k, m_parity, side="X")
             worst_cov = min(worst_cov, record.slack)
             if record.slack < -HARNESS_SLACK_TOL:
                 violations += 1
-        y_i = _random_block_product(rng, scenario, y_parties, n)
-        y_j = _random_block_product(rng, scenario, y_parties, n)
-        x_k = _random_block_product(rng, scenario, x_parties, n)
+        y_i = _random_block(rng, scenario, y_parties)
+        y_j = _random_block(rng, scenario, y_parties)
+        x_k = _random_block(rng, scenario, x_parties)
         for m_parity in (0, 1):
             record = covariance_inequality(state, y_i, y_j, x_k, m_parity, side="Y")
             worst_cov = min(worst_cov, record.slack)

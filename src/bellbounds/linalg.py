@@ -71,15 +71,6 @@ def kron_chain(factors) -> np.ndarray:
     return out
 
 
-def anticommutator(a, b) -> np.ndarray:
-    """AB + BA for equally sized square matrices."""
-    left = _square(a)
-    right = _square(b)
-    if left.shape != right.shape:
-        raise ValueError(f"dimension mismatch: {left.shape} vs {right.shape}")
-    return left @ right + right @ left
-
-
 def _parties_for_dim(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:
@@ -183,6 +174,28 @@ def reduced_state(state: QuantumState, parties) -> QuantumState:
     return QuantumState(len(keep), "mixed", None, rho)
 
 
+def product_mean(state: QuantumState, factors) -> complex:
+    """<prod_p F_p> for a mapping of parties (1-based) to 2x2 factors.
+
+    Parties without a factor carry the identity.  Each factor acts on its
+    party's axis of the reshaped amplitude vector (N 2**N work) or of the
+    density matrix's row index (N 4**N work), in party order, so no
+    2**N x 2**N operator is built.  The product need not be Hermitian, so
+    the mean comes back complex.
+    """
+    n = state.n_parties
+    if not all(1 <= party <= n for party in factors):
+        raise ValueError(f"parties {sorted(factors)} must lie in 1..{n}")
+    ket = state.amplitudes if state.kind == "pure" else state.density
+    applied = ket
+    for party in sorted(factors):
+        applied = factors[party] @ applied.reshape(1 << (party - 1), 2, -1)
+    applied = applied.reshape(ket.shape)
+    if state.kind == "pure":
+        return complex(np.vdot(ket, applied))
+    return complex(np.trace(applied))
+
+
 def expectation(state: QuantumState, observable) -> float:
     """<psi|O|psi> for pure states, Tr(rho O) for mixed; Hermitian O only.
 
@@ -264,13 +277,6 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-13, max_sweeps: int = 100) ->
     raise ArithmeticError("Jacobi sweep budget exhausted before convergence")
 
 
-def is_psd(matrix, tol: float = PSD_TOL) -> bool:
-    """Whether the smallest eigenvalue is >= -tol * max(1, spectral norm)."""
-    eigenvalues = jacobi_eigenvalues(matrix)
-    spectral = float(np.max(np.abs(eigenvalues)))
-    return bool(eigenvalues[0] >= -tol * max(1.0, spectral))
-
-
 @dataclass(frozen=True)
 class CovarianceWitness:
     """Correlation data M, V and the covariance matrix C = M - V V^T.
@@ -282,21 +288,6 @@ class CovarianceWitness:
     m: np.ndarray
     v: np.ndarray
     c: np.ndarray
-
-    def scalar_reduction(self, m_parity: int) -> tuple[float, float]:
-        """(lhs, rhs) of |<O0> + (-1)^m <O1>| <= sqrt(u^T M u), two observables only.
-
-        u = (1, (-1)^m) is the contraction column; with unit diagonal the rhs
-        is sqrt(2 + (-1)^m <{O0, O1}>).
-        """
-        if self.m.shape[0] != 2:
-            raise ValueError("scalar reduction needs exactly two observables")
-        if m_parity not in (0, 1):
-            raise ValueError(f"m_parity must be 0 or 1, got {m_parity!r}")
-        u = np.array([1.0, -1.0 if m_parity else 1.0])
-        lhs = abs(float(u @ self.v))
-        rhs = math.sqrt(max(float(u @ self.m @ u), 0.0))
-        return lhs, rhs
 
 
 def covariance_witness(state: QuantumState, operators) -> CovarianceWitness:

@@ -11,7 +11,8 @@ library internals:
 
 ``dense_realize`` is the plain definition of a realized polynomial, one
 Kronecker chain per term, kept as the dense reference for the library's
-factored ``realize``.
+factored ``realize``; ``dense_covariance_inequality`` is the same for the
+two-block covariance inequality, on full 2**N x 2**N block operators.
 """
 
 import math
@@ -40,6 +41,35 @@ def dense_realize(polynomial, scenario) -> np.ndarray:
         return tree(items[:mid]) + tree(items[mid:])
 
     return tree(sorted(polynomial.terms.items()))
+
+
+def anticommutator(a, b) -> np.ndarray:
+    return a @ b + b @ a
+
+
+def dense_block(block, n_parties: int) -> np.ndarray:
+    """Kronecker chain of the block's locals at their parties, identity elsewhere."""
+    factors = [np.eye(2, dtype=complex)] * n_parties
+    for obs in block:
+        factors[obs.party - 1] = obs.local
+    return reduce(np.kron, factors)
+
+
+def dense_covariance_inequality(density, first, second, other, m_parity):
+    """(lhs, radicand) of |<B_i C> + s <B_j C>| <= sqrt(2 + s <{B_i, B_j}>).
+
+    s = (-1)**m_parity and <O> = Re Tr(rho O), which is also the mean of
+    the Hermitian part of O, so the products B C need no symmetrizing.
+    """
+    n_parties = density.shape[0].bit_length() - 1
+    b_i, b_j, c_op = (dense_block(b, n_parties) for b in (first, second, other))
+    sign = -1.0 if m_parity else 1.0
+
+    def mean(operator):
+        return float(np.trace(density @ operator).real)
+
+    lhs = abs(mean(b_i @ c_op) + sign * mean(b_j @ c_op))
+    return lhs, 2.0 + sign * mean(anticommutator(b_i, b_j))
 
 
 def ghz_planar_correlator(thetas) -> float:

@@ -20,7 +20,6 @@ from bellbounds import (
     check_equivalence_even,
     expectation,
     ghz_state,
-    is_permutation_invariant,
     mk,
     mk_bound_classical_pair,
     mk_bound_odd,
@@ -35,6 +34,7 @@ from bellbounds.experiments import (
     maximize_violation,
     verify_bounds_random,
 )
+from bellbounds.polynomials import is_permutation_invariant
 from bellbounds.rng import SplitMix64
 
 ROOT2 = math.sqrt(2.0)

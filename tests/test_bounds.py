@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,31 +10,36 @@ from bellbounds import (
     InvariantViolation,
     MeasurementScenario,
     QuantumState,
-    SIGMA_X,
-    SIGMA_Y,
     DichotomicObservable,
-    anticommutator,
     best_mk_bound,
     best_svetlichny_bound,
     chi,
     classical_pair_report,
     covariance_inequality,
-    embed_local,
     eta,
     expectation,
     ghz_state,
     mk,
     mk_bound_classical_pair,
     mk_bound_odd,
-    planar_observable,
-    random_scenario,
     realize,
     svetlichny,
     svetlichny_bound,
 )
+from bellbounds.experiments import random_scenario
+from bellbounds.linalg import SIGMA_X, SIGMA_Y
+from bellbounds.observables import embed_local, planar_observable
 from bellbounds.rng import SplitMix64
 
-from oracles import chi_ghz_pair, eta_from_gap, fig1_party1_eta, fig3_pair12_bound
+from oracles import (
+    anticommutator,
+    chi_ghz_pair,
+    dense_covariance_inequality,
+    eta_from_gap,
+    fig1_party1_eta,
+    fig3_pair12_bound,
+    ghz_planar_correlator,
+)
 
 ROOT2 = math.sqrt(2.0)
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -409,54 +415,152 @@ class TestBestMkBound:
             )
 
 
+def planar_block(scenario, settings):
+    """One observable per (party, setting) pair of a planar scenario."""
+    return [scenario.observable(party, setting) for party, setting in settings]
+
+
 class TestCovarianceInequality:
     def test_bell_state_saturation(self):
-        state = ghz_state(2)
-        first = embed_local(planar_observable(0.0), 1, 2)
-        second = embed_local(planar_observable(math.pi / 2), 1, 2)
-        other = embed_local(planar_observable(-math.pi / 4), 2, 2)
-        result = covariance_inequality(state, first, second, other, 0)
+        scenario = MeasurementScenario.planar(((0.0, math.pi / 2), (-math.pi / 4, 0.0)))
+        first, second, other = (
+            planar_block(scenario, [ps]) for ps in ((1, 0), (1, 1), (2, 0))
+        )
+        result = covariance_inequality(ghz_state(2), first, second, other, 0)
         assert abs(result.lhs - ROOT2) < 1e-12
         assert abs(result.rhs - ROOT2) < 1e-12
         assert result.slack > -1e-10
 
     def test_identical_observables_are_trivial(self):
-        state = ghz_state(2)
-        x = embed_local(planar_observable(0.7), 1, 2)
-        y = embed_local(planar_observable(0.1), 2, 2)
-        result = covariance_inequality(state, x, x, y, 1)
+        scenario = MeasurementScenario.planar(((0.7, 0.7), (0.1, 0.1)))
+        x = planar_block(scenario, [(1, 0)])
+        y = planar_block(scenario, [(2, 0)])
+        result = covariance_inequality(ghz_state(2), x, x, y, 1)
         assert result.lhs == 0.0
         assert result.rhs == 0.0
 
     @given(angles, angles, angles)
     def test_holds_on_ghz3(self, t0, t1, t2):
-        state = ghz_state(3)
-        first = embed_local(planar_observable(t0), 1, 3)
-        second = embed_local(planar_observable(t1), 1, 3)
-        other = embed_local(planar_observable(t2), 2, 3)
+        scenario = ghz3_scenario((t0, t1), (t2, t2))
+        first, second, other = (
+            planar_block(scenario, [ps]) for ps in ((1, 0), (1, 1), (2, 0))
+        )
         for m_parity in (0, 1):
-            result = covariance_inequality(state, first, second, other, m_parity)
+            result = covariance_inequality(ghz_state(3), first, second, other, m_parity)
             assert result.slack >= -1e-10
 
+    @pytest.mark.parametrize("n_parties", range(2, 8))
+    def test_matches_dense_oracle(self, n_parties):
+        # Random bipartitions, with each block party kept with probability
+        # 3/4 so that B_i and B_j may sit on different parties.  rhs is not
+        # compared: sqrt turns the rounding of a zero radicand into ~1e-8.
+        rng = SplitMix64(900 + n_parties)
+        scenario = random_scenario(rng.next_u64(), n_parties, "bloch")
+        parties = range(1, n_parties + 1)
+        states = random_states(n_parties + 50, n_parties)
+
+        def block(members):
+            return [
+                scenario.observable(p, rng.below(2)) for p in members if rng.below(4)
+            ]
+
+        for _ in range(6):
+            mask = 1 + rng.below((1 << n_parties) - 2)
+            xs = [p for p in parties if mask >> (p - 1) & 1]
+            ys = [p for p in parties if not mask >> (p - 1) & 1]
+            for side, (own, rest) in (("X", (xs, ys)), ("Y", (ys, xs))):
+                first, second, other = block(own), block(own), block(rest)
+                for state in states:
+                    density = state.density_matrix()
+                    for m_parity in (0, 1):
+                        got = covariance_inequality(
+                            state, first, second, other, m_parity, side=side
+                        )
+                        lhs, radicand = dense_covariance_inequality(
+                            density, first, second, other, m_parity
+                        )
+                        assert got.side == side and got.m_parity == m_parity
+                        assert abs(got.lhs - lhs) < 1e-12
+                        assert abs(got.rhs**2 - max(radicand, 0.0)) < 1e-12
+
+    def test_ghz12_closed_form_without_dense_operators(self):
+        # On GHZ a product of planar observables has mean cos(sum of
+        # angles), and B_i B_j = prod_p (cos d_p - i sin d_p sigma_z) with
+        # d_p the angle gap, so <{B_i, B_j}> = 2 cos(sum of gaps).  A dense
+        # operator at N = 12 would take 256 MiB; the call must stay < 1 MB.
+        n = 12
+        rng = SplitMix64(1212)
+        scenario = MeasurementScenario.planar(
+            [(2 * math.pi * rng.uniform(), 2 * math.pi * rng.uniform()) for _ in range(n)]
+        )
+        state = ghz_state(n)
+        xs, ys = range(1, 6), range(6, n + 1)
+        first = planar_block(scenario, [(p, 0) for p in xs])
+        second = planar_block(scenario, [(p, p % 2) for p in xs])
+        other = planar_block(scenario, [(p, 1) for p in ys])
+
+        def theta(obs):
+            return scenario.angles[obs.party - 1][obs.setting]
+
+        corr_i, corr_j = (
+            ghz_planar_correlator([theta(o) for o in block + other])
+            for block in (first, second)
+        )
+        gap = math.fsum(theta(a) - theta(b) for a, b in zip(first, second))
+        for m_parity, sign in ((0, 1.0), (1, -1.0)):
+            tracemalloc.start()
+            try:
+                got = covariance_inequality(state, first, second, other, m_parity)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert abs(got.lhs - abs(corr_i + sign * corr_j)) < 1e-12
+            assert abs(got.rhs**2 - (2.0 + sign * 2.0 * math.cos(gap))) < 1e-12
+
     def test_rejects_non_commuting_sides(self):
-        state = ghz_state(2)
-        first = embed_local(SIGMA_X, 1, 2)
-        second = embed_local(SIGMA_Y, 1, 2)
-        clash = embed_local(SIGMA_Y, 1, 2)
-        with pytest.raises(InvariantViolation):
-            covariance_inequality(state, first, second, clash, 0)
+        # the blocks commute by construction once other shares no party
+        # with first or second, so a shared party is the one way to clash
+        scenario = MeasurementScenario.planar(((0.0, math.pi / 2), (0.0, 1.0)))
+        first, second, clash = (
+            planar_block(scenario, [ps]) for ps in ((1, 0), (1, 1), (1, 1))
+        )
+        with pytest.raises(ValueError, match="shares parties"):
+            covariance_inequality(ghz_state(2), first, second, clash, 0)
+        with pytest.raises(ValueError, match="shares parties"):
+            covariance_inequality(
+                ghz_state(2), first, planar_block(scenario, [(2, 0)]), clash, 0
+            )
+
+    def test_rejects_repeated_party(self):
+        scenario = MeasurementScenario.planar(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+        twice = planar_block(scenario, [(1, 0), (1, 1)])
+        once = planar_block(scenario, [(1, 0)])
+        other = planar_block(scenario, [(3, 0)])
+        for blocks in ((twice, once, other), (once, twice, other), (once, once, twice)):
+            with pytest.raises(ValueError, match="repeats party 1"):
+                covariance_inequality(ghz_state(3), *blocks, 0)
+
+    def test_rejects_party_outside_the_state(self):
+        scenario = MeasurementScenario.planar(((0.0, 1.0),) * 4)
+        x = planar_block(scenario, [(1, 0)])
+        beyond = planar_block(scenario, [(4, 0)])
+        with pytest.raises(ValueError, match="1..3"):
+            covariance_inequality(ghz_state(3), x, x, beyond, 0)
 
     def test_rejects_non_dichotomic(self):
-        state = ghz_state(2)
-        first = embed_local(0.5 * SIGMA_X, 1, 2)
-        other = embed_local(SIGMA_Y, 2, 2)
+        # a non-dichotomic local cannot become an observable, and a block
+        # takes observables only, not bare matrices
         with pytest.raises(InvariantViolation):
-            covariance_inequality(state, first, first, other, 0)
+            DichotomicObservable(0.5 * SIGMA_X, 1, 0)
+        other = [DichotomicObservable(SIGMA_Y, 2, 0)]
+        with pytest.raises(TypeError):
+            covariance_inequality(ghz_state(2), [SIGMA_X], [SIGMA_X], other, 0)
 
     def test_argument_validation(self):
         state = ghz_state(2)
-        x = embed_local(SIGMA_X, 1, 2)
-        y = embed_local(SIGMA_Y, 2, 2)
+        x = [DichotomicObservable(SIGMA_X, 1, 0)]
+        y = [DichotomicObservable(SIGMA_Y, 2, 0)]
         with pytest.raises(ValueError):
             covariance_inequality(state, x, x, y, 2)
         with pytest.raises(ValueError):

@@ -6,27 +6,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellbounds import (
+    FileFormatError,
+    InvariantViolation,
+    QuantumState,
+    expectation,
+    ghz_state,
+    write_state_file,
+)
+from bellbounds.linalg import (
     DIM_CAP,
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     CovarianceWitness,
-    FileFormatError,
-    InvariantViolation,
-    QuantumState,
-    anticommutator,
     covariance_witness,
-    expectation,
-    ghz_state,
-    is_psd,
     jacobi_eigenvalues,
-    planar_observable,
+    kron_chain,
+    product_mean,
     read_state_file,
+    reduced_state,
     tensor_product,
-    write_state_file,
 )
-from bellbounds.linalg import kron_chain, reduced_state
+from bellbounds.observables import planar_observable
 from bellbounds.rng import SplitMix64
 
 from oracles import ghz_planar_correlator
@@ -69,14 +71,6 @@ class TestTensorProduct:
             tensor_product(big, np.eye(4, dtype=complex))
         capped = tensor_product(big, np.eye(2, dtype=complex))
         assert capped.shape == (DIM_CAP, DIM_CAP)
-
-
-def test_anticommutator_of_planar_pair_is_scaled_identity():
-    # {A(t0), A(t1)} = 2 cos(t0 - t1) I
-    for t0, t1 in ((0.3, -1.1), (0.0, math.pi / 2), (2.0, 2.0)):
-        got = anticommutator(planar_observable(t0), planar_observable(t1))
-        want = 2.0 * math.cos(t0 - t1) * ID2
-        assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestQuantumState:
@@ -205,6 +199,29 @@ class TestReducedState:
             reduced_state(ghz_state(3), parties)
 
 
+class TestProductMean:
+    def test_matches_dense_product_on_pure_and_mixed(self):
+        # non-Hermitian factors on parties 1, 3 and 4 of five, so the
+        # complex mean is checked, not only its real part
+        rng = SplitMix64(23)
+        factors = {p: random_complex(rng, (2, 2)) for p in (4, 1, 3)}
+        dense = kron_chain([factors.get(p, ID2) for p in range(1, 6)])
+        amps = random_complex(rng, (32,))
+        pure = QuantumState.pure(amps / np.linalg.norm(amps))
+        mixed = QuantumState.mixed(pure.density_matrix())
+        want = complex(np.vdot(pure.amplitudes, dense @ pure.amplitudes))
+        for state in (pure, mixed):
+            assert abs(product_mean(state, factors) - want) < 1e-14
+
+    def test_no_factors_gives_the_norm(self):
+        assert abs(product_mean(ghz_state(4), {}) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("party", [0, 4])
+    def test_rejects_parties_outside_the_state(self, party):
+        with pytest.raises(ValueError):
+            product_mean(ghz_state(3), {party: SIGMA_X})
+
+
 class TestJacobi:
     def test_matches_numpy_on_random_symmetric(self):
         rng = SplitMix64(11)
@@ -245,17 +262,6 @@ class TestJacobi:
         assert np.max(np.abs(got - np.linalg.eigvalsh(gram))) < 1e-9
 
 
-class TestIsPsd:
-    def test_accepts_gram_matrix(self):
-        rng = SplitMix64(13)
-        vecs = np.array([rng.normal() for _ in range(12)]).reshape(3, 4)
-        assert is_psd(vecs @ vecs.T)
-
-    def test_boundary(self):
-        assert is_psd(np.diag([-1e-11, 1.0]))
-        assert not is_psd(np.diag([-1e-9, 1.0]))
-
-
 class TestCovarianceWitness:
     @staticmethod
     def embedded_pair():
@@ -283,12 +289,6 @@ class TestCovarianceWitness:
             ]
             witness = covariance_witness(ghz_state(2), ops)
             assert jacobi_eigenvalues(witness.c)[0] >= -1e-10
-
-    def test_scalar_reduction_is_cauchy_schwarz(self):
-        witness = covariance_witness(ghz_state(2), self.embedded_pair())
-        for m_parity in (0, 1):
-            lhs, rhs = witness.scalar_reduction(m_parity)
-            assert lhs <= rhs + 1e-10
 
     def test_pure_and_mixed_agree(self):
         state = ghz_state(2)

@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 from bellbounds import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     DichotomicObservable,
     FileFormatError,
     InvariantViolation,
     MeasurementScenario,
+    write_scenario_file,
+)
+from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
+from bellbounds.observables import (
     bloch_observable,
     embed_local,
     planar_observable,
     read_scenario_file,
-    tensor_product,
     validate_dichotomic,
-    write_scenario_file,
 )
 
 

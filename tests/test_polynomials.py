@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from bellbounds import (
     BellPolynomial,
-    EvenEquivalence,
     FileFormatError,
     InvariantViolation,
     MeasurementScenario,
@@ -17,14 +16,13 @@ from bellbounds import (
     dump_terms,
     expectation,
     ghz_state,
-    is_permutation_invariant,
     mk,
     parse_terms,
-    random_scenario,
     realize,
-    relabel,
     svetlichny,
 )
+from bellbounds.experiments import random_scenario
+from bellbounds.polynomials import EvenEquivalence, is_permutation_invariant, relabel
 
 from oracles import dense_realize, poly_ghz_value
 
