@@ -29,7 +29,7 @@ from .linalg import (
     jacobi_eigenvalues,
     read_state_file,
 )
-from .observables import MeasurementScenario, embed_local
+from .observables import MeasurementScenario
 from .polynomials import BellPolynomial, mk, realize, svetlichny
 from .rng import SplitMix64
 
@@ -271,8 +271,8 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     parities against the eta-refined bound, odd-N MK against the
     chi-refined bound, the two-block inequalities on the random
     bipartition (both sides, both parities of m), evaluated on the drawn
-    per-party observables, and positive semidefiniteness of the full
-    covariance matrix of all 2N embedded observables.
+    per-party observables, and positive semidefiniteness of the
+    covariance matrix of all 2N scenario observables' validated 2x2 locals.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -333,12 +333,7 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
             if record.slack < -HARNESS_SLACK_TOL:
                 violations += 1
 
-        operators = [
-            embed_local(scenario.observable(party, setting).local, party, n)
-            for party in range(1, n + 1)
-            for setting in (0, 1)
-        ]
-        witness = covariance_witness(state, operators)
+        witness = covariance_witness(state, [obs for pair in scenario.pairs for obs in pair])
         smallest = float(jacobi_eigenvalues(witness.c)[0])
         worst_eigen = min(worst_eigen, smallest)
         if smallest < -HARNESS_PSD_TOL:

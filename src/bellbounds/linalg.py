@@ -281,8 +281,8 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-13, max_sweeps: int = 100) ->
 class CovarianceWitness:
     """Correlation data M, V and the covariance matrix C = M - V V^T.
 
-    ``m[i, j] = Re<{O_i, O_j}>/2``, ``v[i] = <O_i>``; C is PSD for any
-    quantum state, which is what the randomized harness checks.
+    ``m[i, j] = Re<{O_i, O_j}>/2 = Re<O_i O_j>``, ``v[i] = <O_i>``; C is PSD
+    for any quantum state, which is what the randomized harness checks.
     """
 
     m: np.ndarray
@@ -290,38 +290,28 @@ class CovarianceWitness:
     c: np.ndarray
 
 
-def covariance_witness(state: QuantumState, operators) -> CovarianceWitness:
-    """Build M, V, C for a sequence of Hermitian operators on one state."""
-    mats = [_square(op) for op in operators]
-    if not mats:
-        raise ValueError("need at least one operator")
-    for op in mats:
-        if op.shape[0] != state.dim:
-            raise ValueError(
-                f"operator dimension {op.shape[0]} does not match state dimension {state.dim}"
-            )
-        defect = hermiticity_defect(op)
-        if defect > HERMITIAN_TOL:
-            raise InvariantViolation(f"operator is not Hermitian: defect {defect:.3e}")
-    k = len(mats)
-    if state.kind == "pure":
-        applied = np.stack([op @ state.amplitudes for op in mats])
-        gram = applied.conj() @ applied.T
-        m = np.array(gram.real)
-        v_complex = applied @ state.amplitudes.conj()
-    else:
-        halves = [state.density @ op for op in mats]
-        m = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                value = complex(np.einsum("ij,ji->", halves[i], mats[j]))
-                m[i, j] = m[j, i] = value.real
-        v_complex = np.array([complex(np.trace(h)) for h in halves])
+def covariance_witness(state: QuantumState, observables) -> CovarianceWitness:
+    """M, V, C for per-party observables (``.party``, validated 2x2 ``.local``).
+
+    Each entry is one :func:`product_mean` of at most two factors (the locals
+    multiplied when they share a party): k (k + 3) / 2 means for k observables,
+    each O(2**N) work on a pure state and O(4**N) on a mixed one.
+    """
+    factors = [(obs.party, obs.local) for obs in observables]
+    if not factors:
+        raise ValueError("need at least one observable")
+    v_complex = np.array([product_mean(state, {p: a}) for p, a in factors])
     worst_imag = float(np.max(np.abs(v_complex.imag)))
     if worst_imag > IMAG_TOL:
         raise InvariantViolation(f"mean vector keeps imaginary residue {worst_imag:.3e}")
+    k = len(factors)
+    m = np.empty((k, k))
+    for i, (p, a) in enumerate(factors):
+        for j in range(i, k):
+            q, b = factors[j]
+            pair = {p: a @ b} if p == q else {p: a, q: b}
+            m[i, j] = m[j, i] = product_mean(state, pair).real
     v = np.array(v_complex.real)
-    m = (m + m.T) / 2.0
     c = m - np.outer(v, v)
     for frozen in (m, v, c):
         frozen.setflags(write=False)

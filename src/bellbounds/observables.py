@@ -6,6 +6,7 @@ party 1 sits in the leftmost tensor slot.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,6 @@ from .linalg import (
     FileFormatError,
     InvariantViolation,
     _square,
-    hermiticity_defect,
 )
 
 DICHOTOMIC_TOL = 1e-12
@@ -38,12 +38,22 @@ class DichotomicViolation:
 
 
 def validate_dichotomic(matrix) -> DichotomicViolation | None:
-    """None when the matrix is a Hermitian involution within 1e-12."""
-    arr = _square(matrix)
-    herm = hermiticity_defect(arr)
+    """None when the 2x2 matrix [[a, b], [c, d]] is a Hermitian involution within 1e-12.
+
+    Works on the four entries in closed form (the involution residues are the
+    entries of M @ M - I); other shapes and non-finite entries raise ValueError.
+    """
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.shape != (2, 2):
+        raise ValueError(f"dichotomic observables are 2x2 matrices, got shape {arr.shape}")
+    a, b, c, d = arr.ravel().tolist()
+    if not cmath.isfinite(a + b + c + d):
+        raise ValueError(f"dichotomic observable has a non-finite entry: {[a, b, c, d]}")
+    herm = max(abs(a - a.conjugate()), abs(d - d.conjugate()), abs(b - c.conjugate()))
     if herm > DICHOTOMIC_TOL:
         return DichotomicViolation("hermitian", herm)
-    invol = float(np.max(np.abs(arr @ arr - np.eye(arr.shape[0]))))
+    bc, trace = b * c, a + d
+    invol = max(abs(a * a + bc - 1), abs(b * trace), abs(c * trace), abs(d * d + bc - 1))
     if invol > DICHOTOMIC_TOL:
         return DichotomicViolation("involution", invol)
     return None

@@ -11,8 +11,10 @@ library internals:
 
 ``dense_realize`` is the plain definition of a realized polynomial, one
 Kronecker chain per term, kept as the dense reference for the library's
-factored ``realize``; ``dense_covariance_inequality`` is the same for the
-two-block covariance inequality, on full 2**N x 2**N block operators.
+factored ``realize``; ``dense_covariance_inequality`` and
+``dense_covariance_witness`` are the same for the two-block covariance
+inequality and the harness's covariance matrix, on full 2**N x 2**N
+operators.
 """
 
 import math
@@ -70,6 +72,19 @@ def dense_covariance_inequality(density, first, second, other, m_parity):
 
     lhs = abs(mean(b_i @ c_op) + sign * mean(b_j @ c_op))
     return lhs, 2.0 + sign * mean(anticommutator(b_i, b_j))
+
+
+def dense_covariance_witness(density, observables):
+    """(M, v, C) with M_ij = Re Tr(rho O_i O_j), v_i = Re Tr(rho O_i), C = M - v v^T.
+
+    Each O_i is the observable's local embedded at its party by a Kronecker
+    chain, so this is the definition on the full 2**N x 2**N space.
+    """
+    n_parties = density.shape[0].bit_length() - 1
+    ops = [dense_block([obs], n_parties) for obs in observables]
+    v = np.array([np.trace(density @ op).real for op in ops])
+    m = np.array([[np.trace(density @ a @ b).real for b in ops] for a in ops])
+    return m, v, m - np.outer(v, v)
 
 
 def ghz_planar_correlator(thetas) -> float:

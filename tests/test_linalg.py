@@ -1,18 +1,23 @@
 import functools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bellbounds import (
+    DichotomicObservable,
     FileFormatError,
     InvariantViolation,
+    MeasurementScenario,
     QuantumState,
     expectation,
     ghz_state,
     write_state_file,
 )
+from bellbounds.experiments import random_scenario
 from bellbounds.linalg import (
     DIM_CAP,
     ID2,
@@ -31,7 +36,7 @@ from bellbounds.linalg import (
 from bellbounds.observables import planar_observable
 from bellbounds.rng import SplitMix64
 
-from oracles import ghz_planar_correlator
+from oracles import dense_covariance_witness, ghz_planar_correlator
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -262,16 +267,32 @@ class TestJacobi:
         assert np.max(np.abs(got - np.linalg.eigvalsh(gram))) < 1e-9
 
 
+def random_states(seed, n_parties):
+    """A Haar pure state and a rank-2 mixture on n_parties qubits."""
+    gen = np.random.default_rng(seed)
+    dim = 1 << n_parties
+    vecs = gen.normal(size=(2, dim)) + 1j * gen.normal(size=(2, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weight = gen.uniform()
+    rho = weight * np.outer(vecs[0], vecs[0].conj())
+    rho += (1.0 - weight) * np.outer(vecs[1], vecs[1].conj())
+    return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
+
+
+def all_observables(scenario):
+    return [obs for pair in scenario.pairs for obs in pair]
+
+
 class TestCovarianceWitness:
     @staticmethod
-    def embedded_pair():
+    def planar_pair():
         return (
-            tensor_product(planar_observable(0.2), ID2),
-            tensor_product(ID2, planar_observable(-0.7)),
+            DichotomicObservable(planar_observable(0.2), 1, 0),
+            DichotomicObservable(planar_observable(-0.7), 2, 0),
         )
 
     def test_fields_and_shapes(self):
-        witness = covariance_witness(ghz_state(2), self.embedded_pair())
+        witness = covariance_witness(ghz_state(2), self.planar_pair())
         assert isinstance(witness, CovarianceWitness)
         assert witness.m.shape == (2, 2)
         assert witness.v.shape == (2,)
@@ -280,23 +301,61 @@ class TestCovarianceWitness:
     def test_covariance_is_psd(self):
         rng = SplitMix64(17)
         for _ in range(25):
-            thetas = [2.0 * math.pi * rng.uniform() for _ in range(4)]
-            ops = [
-                tensor_product(planar_observable(thetas[0]), ID2),
-                tensor_product(planar_observable(thetas[1]), ID2),
-                tensor_product(ID2, planar_observable(thetas[2])),
-                tensor_product(ID2, planar_observable(thetas[3])),
-            ]
-            witness = covariance_witness(ghz_state(2), ops)
+            scenario = MeasurementScenario.planar(
+                [(2.0 * math.pi * rng.uniform(), 2.0 * math.pi * rng.uniform()) for _ in range(2)]
+            )
+            witness = covariance_witness(ghz_state(2), all_observables(scenario))
             assert jacobi_eigenvalues(witness.c)[0] >= -1e-10
 
     def test_pure_and_mixed_agree(self):
         state = ghz_state(2)
         rho = QuantumState.mixed(state.density_matrix())
-        ops = self.embedded_pair()
+        ops = self.planar_pair()
         wp = covariance_witness(state, ops)
         wm = covariance_witness(rho, ops)
         assert np.max(np.abs(wp.c - wm.c)) < 1e-12
+
+    @pytest.mark.parametrize("n_parties", range(2, 7))
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    def test_matches_dense_oracle(self, n_parties, family):
+        # Each mean, on either route, ends in a sum of at most 2**N + 8
+        # terms whose moduli add up to at most 4: every factor is unitary
+        # with entries of modulus <= 1 and at most 4 nonzeros per row once
+        # embedded, and |rho_ik| <= (rho_ii + rho_kk) / 2 with unit trace.
+        # So each entry of M or v is within 4 (2**N + 8) eps of its exact
+        # value on each route, the routes differ by twice that, and
+        # C = M - v v^T adds a few eps more: 8 (2**N + 16) eps covers it.
+        tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
+        scenario = random_scenario(6100 + n_parties, n_parties, family)
+        observables = all_observables(scenario)
+        for state in random_states(6200 + n_parties, n_parties):
+            got = covariance_witness(state, observables)
+            want = dense_covariance_witness(state.density_matrix(), observables)
+            for field, dense in zip((got.m, got.v, got.c), want):
+                assert np.max(np.abs(field - dense)) <= tol
+
+    def test_pure_twelve_parties_without_dense_operators(self):
+        # The dense route would need 24 embedded operators of 268 MB each.
+        amps = np.random.default_rng(6312).normal(size=(2, 4096)).T @ [1.0, 1.0j]
+        state = QuantumState.pure(amps / np.linalg.norm(amps))
+        observables = all_observables(random_scenario(6313, 12, "bloch"))
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            witness = covariance_witness(state, observables)
+            elapsed = time.perf_counter() - began
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed <= 1.0
+        assert peak < 1 << 20
+        assert jacobi_eigenvalues(witness.c)[0] >= -1e-10
+
+    def test_rejects_empty_and_out_of_range_parties(self):
+        with pytest.raises(ValueError):
+            covariance_witness(ghz_state(2), [])
+        with pytest.raises(ValueError):
+            covariance_witness(ghz_state(2), [DichotomicObservable(SIGMA_X, 3, 0)])
 
 
 class TestStateFiles:

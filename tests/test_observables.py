@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,9 +82,43 @@ class TestValidateDichotomic:
         assert report is not None
         assert report.check == "involution"
 
+    def test_residues_match_the_matrix_definitions(self):
+        # random complex matrices fail the Hermitian check, and their
+        # Hermitian parts the involution check, so both residues show;
+        # the scalar and numpy moduli may differ in the last ulp
+        gen = np.random.default_rng(31)
+        for _ in range(200):
+            raw = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+            herm = (raw + raw.conj().T) / 2.0
+            for matrix, check, want in (
+                (raw, "hermitian", np.max(np.abs(raw - raw.conj().T))),
+                (herm, "involution", np.max(np.abs(herm @ herm - np.eye(2)))),
+            ):
+                report = validate_dichotomic(matrix)
+                assert report.check == check
+                assert abs(report.residual - want) <= 1e-14 * max(1.0, want)
+
+    def test_off_diagonal_involution_residue_reported(self):
+        # Hermitian with a unit diagonal, so only b(a + d) and c(a + d),
+        # each 2e-9, flag it; a**2 + bc - 1 is 1e-18
+        report = validate_dichotomic(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+        assert report is not None
+        assert report.check == "involution"
+        assert report.residual == pytest.approx(2e-9)
+
     def test_violation_formats(self):
         report = validate_dichotomic(0.5 * SIGMA_X)
         assert "involution" in str(report)
+
+    @pytest.mark.parametrize("bad", [np.eye(4), np.eye(1), np.ones(2), np.eye(3)[:2]])
+    def test_rejects_non_2x2_shapes(self, bad):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+            validate_dichotomic(bad)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_dichotomic(np.array([[0.0, 1.0], [1.0, entry]]))
 
 
 class TestDichotomicObservable:
@@ -101,6 +136,10 @@ class TestDichotomicObservable:
     def test_rejects_non_dichotomic(self):
         with pytest.raises(InvariantViolation):
             DichotomicObservable(0.5 * SIGMA_X, 1, 0)
+
+    def test_rejects_non_2x2_local_naming_the_shape(self):
+        with pytest.raises(ValueError, match=r"\(4, 4\)"):
+            DichotomicObservable(np.kron(SIGMA_X, SIGMA_Z), 1, 0)
 
     def test_rejects_bad_party_and_setting(self):
         with pytest.raises(ValueError):
