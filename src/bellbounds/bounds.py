@@ -8,6 +8,7 @@ for the Svetlichny family, and bipartite cross-setting anticommutators
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,7 +141,7 @@ class BoundReport:
     """A refined bound plus the correlations that produced it.
 
     kind is 'svetlichny', 'mk-odd' or 'mk-classical-pair'; witness carries
-    the minimizing party or ordered pair with its correlation values.
+    the minimizing party or pair with its correlation values.
     known_tsirelson is the family's flat ceiling 2**(N-1) sqrt(2); classical
     and algebraic are the matching reference lines for the kind.
     """
@@ -184,19 +185,14 @@ def best_svetlichny_bound(
     n = scenario.n_parties
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
-    best_party = None
-    best_eta = None
-    best_value = None
-    for party in range(1, n + 1):
-        e = eta(scenario, state, party)
-        value = svetlichny_bound(n, e)
-        if best_value is None or value < best_value:
-            best_party, best_eta, best_value = party, e, value
+    etas = [eta(scenario, state, party) for party in range(1, n + 1)]
+    values = [svetlichny_bound(n, e) for e in etas]
+    best = values.index(min(values))
     return BoundReport(
         kind="svetlichny",
         n_parties=n,
-        value=best_value,
-        witness={"party": best_party, "eta": best_eta},
+        value=values[best],
+        witness={"party": best + 1, "eta": etas[best]},
         known_tsirelson=2.0 ** (n - 1) * SQRT2,
         classical=2.0 ** (n - 1),
         algebraic=2.0**n,
@@ -204,37 +200,32 @@ def best_svetlichny_bound(
 
 
 def best_mk_bound(scenario: MeasurementScenario, state: QuantumState) -> BoundReport:
-    """Minimum over ordered party pairs of the chi-refined odd-N MK bound.
+    """Minimum over party pairs of the chi-refined odd-N MK bound.
 
-    All N(N-1) ordered pairs are scanned; ties keep the lexicographically
-    first pair.  Even N has no chi refinement here (its MK operator is a
-    signed Svetlichny operator, so the eta path applies instead).
+    chi+-(n, m) and chi+-(m, n) are means of the same two operators, so each
+    of the N(N-1)/2 unordered pairs is scanned once, as (n, m) with n < m;
+    ties keep the lexicographically first pair.  Even N has no chi
+    refinement here (its MK operator is a signed Svetlichny operator, so the
+    eta path applies instead).
     """
     n = scenario.n_parties
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd party count >= 3, got {n}")
-    best_pair = None
-    best_chis = None
-    best_value = None
-    for first in range(1, n + 1):
-        for second in range(1, n + 1):
-            if first == second:
-                continue
-            cp = chi(scenario, state, first, second, "+")
-            cm = chi(scenario, state, first, second, "-")
-            value = mk_bound_odd(n, cp, cm)
-            if best_value is None or value < best_value:
-                best_pair = (first, second)
-                best_chis = (cp, cm)
-                best_value = value
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chis = [
+        tuple(chi(scenario, state, first, second, sign) for sign in "+-")
+        for first, second in pairs
+    ]
+    values = [mk_bound_odd(n, *pair_chis) for pair_chis in chis]
+    best = values.index(min(values))
     return BoundReport(
         kind="mk-odd",
         n_parties=n,
-        value=best_value,
+        value=values[best],
         witness={
-            "pair": best_pair,
-            "chi_plus": best_chis[0],
-            "chi_minus": best_chis[1],
+            "pair": pairs[best],
+            "chi_plus": chis[best][0],
+            "chi_minus": chis[best][1],
         },
         known_tsirelson=2.0 ** (n - 1) * SQRT2,
         classical=2.0 ** (n - 2),

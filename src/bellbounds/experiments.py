@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    best_mk_bound,
-    best_svetlichny_bound,
-    covariance_inequality,
-)
+from .bounds import best_mk_bound, best_svetlichny_bound, covariance_inequality
 from .linalg import (
     InvariantViolation,
     QuantumState,
@@ -37,6 +31,7 @@ SWEEP_CSV_HEADER = "alpha,operator_value,refined_bound,known_tsirelson,classical
 SWEEP_SLACK_TOL = 1e-9
 HARNESS_SLACK_TOL = 1e-9
 HARNESS_PSD_TOL = 1e-10
+NELDER_MEAD_STEP = 0.5  # offset of each initial simplex vertex from the start
 
 _SEARCH_SEED = 0x5EED  # fixed multistart stream; OptimizerConfig carries no seed
 
@@ -282,32 +277,23 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     span = n_max - n_min + 1
     svet_polys = {n: (svetlichny(n, "+"), svetlichny(n, "-")) for n in range(n_min, n_max + 1)}
     mk_polys = {n: mk(n) for n in range(n_min, n_max + 1) if n % 2 and n >= 3}
-    worst_svet = math.inf
-    worst_mk = math.inf
-    worst_cov = math.inf
-    worst_eigen = math.inf
+    worst = dict.fromkeys(("svetlichny", "mk", "covariance", "psd"), math.inf)
     violations = 0
     for trial in range(trials):
         n = n_min + trial % span
         state = _random_state(rng, n)
         family = "planar" if rng.uniform() < 0.5 else "bloch"
         scenario = _random_scenario_from(rng, n, family)
+        margins = []  # (check, margin, tolerance); below -tolerance is a violation
 
         report = best_svetlichny_bound(scenario, state)
         for poly in svet_polys[n]:
             value = abs(expectation(state, realize(poly, scenario)))
-            slack = report.value - value
-            worst_svet = min(worst_svet, slack)
-            if slack < -HARNESS_SLACK_TOL:
-                violations += 1
-
+            margins.append(("svetlichny", report.value - value, HARNESS_SLACK_TOL))
         if n in mk_polys:
             mk_report = best_mk_bound(scenario, state)
             value = abs(expectation(state, realize(mk_polys[n], scenario)))
-            slack = mk_report.value - value
-            worst_mk = min(worst_mk, slack)
-            if slack < -HARNESS_SLACK_TOL:
-                violations += 1
+            margins.append(("mk", mk_report.value - value, HARNESS_SLACK_TOL))
 
         full_mask = (1 << n) - 1
         while True:
@@ -316,34 +302,28 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 break
         x_parties = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
         y_parties = [p for p in range(1, n + 1) if p not in x_parties]
-        x_i = _random_block(rng, scenario, x_parties)
-        x_j = _random_block(rng, scenario, x_parties)
-        y_k = _random_block(rng, scenario, y_parties)
-        for m_parity in (0, 1):
-            record = covariance_inequality(state, x_i, x_j, y_k, m_parity, side="X")
-            worst_cov = min(worst_cov, record.slack)
-            if record.slack < -HARNESS_SLACK_TOL:
-                violations += 1
-        y_i = _random_block(rng, scenario, y_parties)
-        y_j = _random_block(rng, scenario, y_parties)
-        x_k = _random_block(rng, scenario, x_parties)
-        for m_parity in (0, 1):
-            record = covariance_inequality(state, y_i, y_j, x_k, m_parity, side="Y")
-            worst_cov = min(worst_cov, record.slack)
-            if record.slack < -HARNESS_SLACK_TOL:
-                violations += 1
+        for side, own, rest in (("X", x_parties, y_parties), ("Y", y_parties, x_parties)):
+            b_i = _random_block(rng, scenario, own)
+            b_j = _random_block(rng, scenario, own)
+            c_op = _random_block(rng, scenario, rest)
+            for m_parity in (0, 1):
+                record = covariance_inequality(state, b_i, b_j, c_op, m_parity, side=side)
+                margins.append(("covariance", record.slack, HARNESS_SLACK_TOL))
 
         witness = covariance_witness(state, [obs for pair in scenario.pairs for obs in pair])
         smallest = float(jacobi_eigenvalues(witness.c)[0])
-        worst_eigen = min(worst_eigen, smallest)
-        if smallest < -HARNESS_PSD_TOL:
-            violations += 1
+        margins.append(("psd", smallest, HARNESS_PSD_TOL))
+
+        for check, margin, tolerance in margins:
+            worst[check] = min(worst[check], margin)
+            if margin < -tolerance:
+                violations += 1
     return HarnessReport(
         trials=trials,
-        worst_slack_svetlichny=worst_svet,
-        worst_slack_mk=worst_mk,
-        worst_slack_covariance=worst_cov,
-        worst_psd_eigen=worst_eigen,
+        worst_slack_svetlichny=worst["svetlichny"],
+        worst_slack_mk=worst["mk"],
+        worst_slack_covariance=worst["covariance"],
+        worst_psd_eigen=worst["psd"],
         violations=violations,
     )
 
@@ -417,7 +397,6 @@ def nelder_mead(
     start: np.ndarray,
     tol: float,
     max_evals: int,
-    initial_step: float = 0.5,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimize with reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 
@@ -429,7 +408,7 @@ def nelder_mead(
     points = [np.array(start, dtype=float)]
     for axis in range(dims):
         vertex = np.array(start, dtype=float)
-        vertex[axis] += initial_step
+        vertex[axis] += NELDER_MEAD_STEP
         points.append(vertex)
     evals = 0
     values = []

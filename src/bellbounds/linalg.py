@@ -17,6 +17,8 @@ DIM_CAP = 4096  # 12 qubits; dense work above this is rejected
 HERMITIAN_TOL = 1e-12
 IMAG_TOL = 1e-10  # largest imaginary residue expectation() may discard
 PSD_TOL = 1e-10
+JACOBI_OFF_TOL = 1e-13  # off-diagonal Frobenius norm at which Jacobi stops
+JACOBI_MAX_SWEEPS = 100
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -221,13 +223,14 @@ def expectation(state: QuantumState, observable) -> float:
     return value.real
 
 
-def jacobi_eigenvalues(matrix, off_tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, ascending, by cyclic Jacobi.
 
     Sweeps every (p, q) pair with the Golub-Van Loan rotation (the root of
     t**2 + 2*theta*t - 1 = 0 of smaller magnitude) until the off-diagonal
-    Frobenius norm drops to ``off_tol``.  Sized for the small correlation
-    matrices built here; raises ArithmeticError if the sweep budget runs out.
+    Frobenius norm drops to ``JACOBI_OFF_TOL``.  Sized for the small
+    correlation matrices built here; raises ArithmeticError if
+    ``JACOBI_MAX_SWEEPS`` sweeps do not get there.
     """
     arr = np.asarray(matrix)
     if np.iscomplexobj(arr):
@@ -244,14 +247,14 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-13, max_sweeps: int = 100) ->
     if k == 1:
         return a.diagonal().copy()
     a = (a + a.T) / 2.0
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # sum the off-diagonal squares directly: the textbook form
         # ||A||_F**2 - ||diag||**2 cancels and cannot resolve below
-        # ~||A||**2 * eps, which is far above off_tol**2
+        # ~||A||**2 * eps, which is far above JACOBI_OFF_TOL**2
         off = a.copy()
         np.fill_diagonal(off, 0.0)
         off_sq = float(np.sum(off * off))
-        if off_sq <= off_tol * off_tol:
+        if off_sq <= JACOBI_OFF_TOL * JACOBI_OFF_TOL:
             return np.sort(np.diag(a).copy())
         for p in range(k - 1):
             for q in range(p + 1, k):
@@ -357,26 +360,24 @@ def read_state_file(path) -> QuantumState:
     body = lines[1:]
     if len(body) != dim:
         raise FileFormatError(f"expected {dim} data rows, got {len(body)}")
+    pure = head[0] == "pure"
+    table = np.empty((dim, 2 if pure else 2 * dim))  # re, im pairs, row by row
     try:
-        if head[0] == "pure":
-            amps = np.empty(dim, dtype=complex)
-            for row, line in enumerate(body):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise FileFormatError(f"row {row}: expected 're im', got {line!r}")
-                amps[row] = complex(float(parts[0]), float(parts[1]))
-            return QuantumState.pure(amps)
-        rho = np.empty((dim, dim), dtype=complex)
         for row, line in enumerate(body):
-            parts = line.split()
-            if len(parts) != dim:
-                raise FileFormatError(f"row {row}: expected {dim} entries, got {len(parts)}")
-            for col, pair in enumerate(parts):
-                pieces = pair.split(",")
-                if len(pieces) != 2:
-                    raise FileFormatError(f"row {row}: bad entry {pair!r}")
-                rho[row, col] = complex(float(pieces[0]), float(pieces[1]))
-        return QuantumState.mixed(rho)
+            fields = line.split()
+            if pure:
+                if len(fields) != 2:
+                    raise FileFormatError(f"row {row}: expected 're im', got {line!r}")
+            else:
+                if len(fields) != dim:
+                    raise FileFormatError(f"row {row}: expected {dim} entries, got {len(fields)}")
+                bad = [pair for pair in fields if pair.count(",") != 1]
+                if bad:
+                    raise FileFormatError(f"row {row}: bad entry {bad[0]!r}")
+                fields = line.replace(",", " ").split()
+            table[row] = fields
+        build = QuantumState.pure if pure else QuantumState.mixed
+        return build(table.view(complex))
     except FileFormatError:
         raise
     except ValueError as exc:

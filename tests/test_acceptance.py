@@ -15,7 +15,6 @@ from bellbounds import (
     DichotomicObservable,
     MeasurementScenario,
     QuantumState,
-    best_mk_bound,
     best_svetlichny_bound,
     check_equivalence_even,
     expectation,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from bellbounds import (
     DichotomicObservable,
     best_mk_bound,
     best_svetlichny_bound,
+    bounds,
     chi,
     classical_pair_report,
     covariance_inequality,
@@ -176,6 +178,25 @@ class TestChi:
                 chi(scenario, state, 1, 2, sign)
                 - chi(scenario, state, 2, 1, sign)
             ) < 1e-14
+
+    @pytest.mark.parametrize("n_parties", (3, 5))
+    def test_symmetric_on_random_states(self, n_parties):
+        # Both orders evaluate the same two operators S = P +- Q on the same
+        # pair marginal, so they differ only by rounding.  A marginal entry
+        # sums K = 2**(N-2) products whose magnitudes total at most 1, so it
+        # is off by at most (K + 4) eps.  <S**2> weighs 16 such entries by
+        # |S**2| <= 4, and its 4x4 evaluation (|S| entries <= 2, each
+        # column of |rho| summing to <= 2) adds at most 20 eps * 64.  chi is
+        # 2 plus or minus one such mean, and each order has its own error.
+        eps = np.finfo(float).eps
+        marginal = ((1 << (n_parties - 2)) + 4) * eps
+        bound = 2.0 * (64.0 * marginal + 20.0 * 64.0 * eps + 2.0 * eps)
+        scenario = random_scenario(5100 + n_parties, n_parties, "bloch")
+        for state in random_states(5100 + n_parties, n_parties):
+            for n, m in itertools.combinations(range(1, n_parties + 1), 2):
+                for sign in "+-":
+                    forward = chi(scenario, state, n, m, sign)
+                    assert abs(forward - chi(scenario, state, m, n, sign)) <= bound
 
     def test_argument_validation(self):
         scenario = ghz3_scenario((0.0, 1.0))
@@ -392,6 +413,26 @@ class TestBestMkBound:
         report = best_mk_bound(scenario, ghz_state(3))
         assert report.witness["pair"] == (2, 3)
         assert report.value <= 1e-9
+
+    @pytest.mark.parametrize("n_parties", (3, 5, 7))
+    def test_scans_each_unordered_pair_once(self, monkeypatch, n_parties):
+        calls = []
+
+        def counting(scenario, state, n, m, sign):
+            calls.append((n, m, sign))
+            return chi(scenario, state, n, m, sign)
+
+        monkeypatch.setattr(bounds, "chi", counting)
+        scenario = random_scenario(5300 + n_parties, n_parties, "bloch")
+        pairs = itertools.combinations(range(1, n_parties + 1), 2)
+        expected = {(n, m, sign) for n, m in pairs for sign in "+-"}
+        for state in random_states(5300 + n_parties, n_parties):
+            calls.clear()
+            report = best_mk_bound(scenario, state)
+            assert len(calls) == n_parties * (n_parties - 1)
+            assert set(calls) == expected
+            first, second = report.witness["pair"]
+            assert first < second
 
     def test_fig3_reference_pair(self):
         scenario = ghz3_scenario((0.0, -math.pi / 4))

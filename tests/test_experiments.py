@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellbounds import InvariantViolation, experiments
+from bellbounds import InvariantViolation, covariance_inequality, experiments
 from bellbounds.experiments import (
     SWEEP_CSV_HEADER,
     HarnessReport,
@@ -170,6 +170,33 @@ class TestVerifyBoundsRandom:
         assert report.worst_slack_svetlichny >= -1e-9
         assert report.worst_slack_covariance >= -1e-9
         assert report.worst_psd_eigen >= -1e-10
+
+    def test_seed_42_margins_are_pinned(self, monkeypatch):
+        # Swapping two block draws keeps the stream position, so only the
+        # covariance draws move, and their reported worst slack is pinned at
+        # 0 by draws with B_i = B_j.  The slacks of the other draws are
+        # recorded as well, so the test sees every draw's place in the order.
+        distinct = []
+
+        def recording(state, first, second, other, m_parity, side="X"):
+            record = covariance_inequality(state, first, second, other, m_parity, side=side)
+            if [obs.setting for obs in first] != [obs.setting for obs in second]:
+                distinct.append(record.slack)
+            return record
+
+        monkeypatch.setattr(experiments, "covariance_inequality", recording)
+        report = verify_bounds_random(42, 200, 2, 5)
+        assert (report.trials, report.violations) == (200, 0)
+        pinned = {
+            "worst_slack_svetlichny": 0.426150448515708,
+            "worst_slack_mk": 0.821383922151724,
+            "worst_slack_covariance": 0.0,
+            "worst_psd_eigen": 2.80843399258969e-06,
+        }
+        for name, value in pinned.items():
+            assert abs(getattr(report, name) - value) < 1e-12, name
+        assert len(distinct) == 514
+        assert abs(min(distinct) - 0.0103353605466624) < 1e-12
 
     def test_mk_slack_absent_without_odd_n_above_two(self):
         report = verify_bounds_random(3, 30, 2, 2)

@@ -22,7 +22,6 @@ from bellbounds.linalg import (
     DIM_CAP,
     ID2,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     CovarianceWitness,
     covariance_witness,
@@ -259,7 +258,7 @@ class TestJacobi:
 
     def test_converges_when_scale_dwarfs_tolerance(self):
         # Frobenius norm ~15 once stalled the off-diagonal test at the
-        # cancellation floor of ||A||**2 * eps, far above off_tol**2
+        # cancellation floor of ||A||**2 * eps, far above JACOBI_OFF_TOL**2
         rng = SplitMix64(12)
         vecs = np.array([rng.normal() for _ in range(100)]).reshape(10, 10)
         gram = vecs @ vecs.T
@@ -389,6 +388,7 @@ class TestStateFiles:
             "pure 1\n1 0 0\n0 0\n",
             "pure 1\n1 0\n1 0\n",
             "mixed 1\n1,0 0,0\n0,0\n",
+            "mixed 1\n1,0,0 0\n0,0 0,0\n",
             "mixed 1\n0.6,0 0,0\n0,0 0.6,0\n",
         ],
     )

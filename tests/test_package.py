@@ -1,5 +1,6 @@
 """The package namespace exports exactly the documented entry points."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import bellbounds
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_entry_points():
@@ -40,3 +42,25 @@ def test_every_readme_entry_point_is_exported():
     named = readme_entry_points()
     assert {"realize", "covariance_inequality", "verify_bounds_random"} <= named
     assert named <= set(bellbounds.__all__)
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read somewhere in it as a plain name.
+
+    ``__init__.py`` only re-exports, and ``__future__`` imports are
+    directives, so both are skipped.
+    """
+    unused = []
+    for path in sorted([*ROOT.glob("src/bellbounds/*.py"), *ROOT.glob("tests/*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
+    assert not unused
