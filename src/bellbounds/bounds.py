@@ -90,27 +90,24 @@ def svetlichny_bound(n_parties: int, eta_value: float) -> float:
 
 
 def chi(
-    scenario: MeasurementScenario,
-    state: QuantumState,
-    n: int,
-    m: int,
-    sign: str,
-) -> float:
-    """Bipartite cross-setting anticommutator mean, clamped to [-2, 2].
+    scenario: MeasurementScenario, state: QuantumState, n: int, m: int
+) -> tuple[float, float]:
+    """(chi+, chi-): bipartite cross-setting anticommutator means, clamped to [-2, 2].
 
-    sign '+' pairs A0(n)A1(m) with A1(n)A0(m); sign '-' pairs A0(n)A0(m)
-    with A1(n)A1(m).  The products square to the identity, so the mean over
-    the pair's 4x4 reduced state uses _anticommutator_mean's sum of squares.
+    chi+ pairs A0(n)A1(m) with A1(n)A0(m); chi- pairs A0(n)A0(m) with
+    A1(n)A1(m).  The products square to the identity, so each mean over the
+    pair's 4x4 reduced state, taken once for both, uses
+    _anticommutator_mean's sum of squares.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    an = [scenario.observable(n, s).local for s in (0, 1)]
-    am = [scenario.observable(m, s).local for s in (0, 1)]
-    if sign == "+":
-        am.reverse()  # '+' crosses the settings of m
-    first, second = (_pair_operator(an[s], am[s]) for s in (0, 1))
-    value = _anticommutator_mean(_reduced(scenario, state, n, m), first, second)
-    return _clamped(value, -2.0, 2.0, f"chi{sign}({n},{m})")
+    an, am = ([scenario.observable(p, s).local for s in (0, 1)] for p in (n, m))
+    pair = _reduced(scenario, state, n, m)
+    values = []
+    for sign, cross in (("+", 1), ("-", 0)):  # '+' crosses the settings of m
+        first = _pair_operator(an[0], am[cross])
+        second = _pair_operator(an[1], am[1 - cross])
+        value = _anticommutator_mean(pair, first, second)
+        values.append(_clamped(value, -2.0, 2.0, f"chi{sign}({n},{m})"))
+    return values[0], values[1]
 
 
 def mk_bound_odd(n_parties: int, chi_plus: float, chi_minus: float) -> float:
@@ -203,7 +200,8 @@ def best_mk_bound(scenario: MeasurementScenario, state: QuantumState) -> BoundRe
     """Minimum over party pairs of the chi-refined odd-N MK bound.
 
     chi+-(n, m) and chi+-(m, n) are means of the same two operators, so each
-    of the N(N-1)/2 unordered pairs is scanned once, as (n, m) with n < m;
+    of the N(N-1)/2 unordered pairs is scanned once, as (n, m) with n < m,
+    by one chi call that reads both signs from the pair's reduced state;
     ties keep the lexicographically first pair.  Even N has no chi
     refinement here (its MK operator is a signed Svetlichny operator, so the
     eta path applies instead).
@@ -212,10 +210,7 @@ def best_mk_bound(scenario: MeasurementScenario, state: QuantumState) -> BoundRe
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd party count >= 3, got {n}")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    chis = [
-        tuple(chi(scenario, state, first, second, sign) for sign in "+-")
-        for first, second in pairs
-    ]
+    chis = [chi(scenario, state, first, second) for first, second in pairs]
     values = [mk_bound_odd(n, *pair_chis) for pair_chis in chis]
     best = values.index(min(values))
     return BoundReport(
@@ -268,7 +263,6 @@ class CovarianceInequality:
     lhs: float
     rhs: float
     slack: float
-    side: str
     m_parity: int
 
 
@@ -285,30 +279,21 @@ def _by_party(block, name: str) -> dict:
 
 
 def covariance_inequality(
-    state: QuantumState,
-    first,
-    second,
-    other,
-    m_parity: int,
-    side: str = "X",
-) -> CovarianceInequality:
-    """|<B_i C> + (-1)^m <B_j C>| <= sqrt(2 + (-1)^m <{B_i, B_j}>).
+    state: QuantumState, first, second, other
+) -> tuple[CovarianceInequality, CovarianceInequality]:
+    """|<B_i C> + (-1)^m <B_j C>| <= sqrt(2 + (-1)^m <{B_i, B_j}>), for m = 0 and 1.
 
     Each block is a sequence of DichotomicObservable, at most one per party,
     standing for the product of their locals (identity on the other
-    parties): ``first`` and ``second`` are B_i and B_j on one block (X for
-    side 'X', Y for side 'Y'), ``other`` is C on the complementary block.
-    The locals were validated when built, and C commutes with B_i and B_j
-    because its parties are disjoint from theirs, so only that structure is
-    checked.  Three product means are read -- <B_i C>, <B_j C> and
-    <{B_i, B_j}> = 2 Re<B_i B_j> -- each at N 2**N (pure) or N 4**N (mixed)
-    cost.  The inequality itself is block-symmetric; ``side`` records which
-    reading produced it.
+    parties): ``first`` and ``second`` are B_i and B_j on one block,
+    ``other`` is C on the complementary block.  The inequality is
+    block-symmetric, so either block may play X.  The locals were validated
+    when built, and C commutes with B_i and B_j because its parties are
+    disjoint from theirs, so only that structure is checked.  Three product
+    means are read once -- <B_i C>, <B_j C> and <{B_i, B_j}> = 2 Re<B_i B_j>
+    -- each at N 2**N (pure) or N 4**N (mixed) cost, and both parities of m
+    are evaluated from them; the records come back in m order (0, then 1).
     """
-    if side not in ("X", "Y"):
-        raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
-    if m_parity not in (0, 1):
-        raise ValueError(f"m_parity must be 0 or 1, got {m_parity!r}")
     b_i, b_j, c_op = (
         _by_party(block, name)
         for name, block in (("first", first), ("second", second), ("other", other))
@@ -328,9 +313,11 @@ def covariance_inequality(
     for party, local in b_j.items():
         pair[party] = pair[party] @ local if party in pair else local
     anticommutator_mean = 2.0 * product_mean(state, pair).real
-    sign = -1.0 if m_parity else 1.0
-    lhs = abs(correlators[0] + sign * correlators[1])
-    rhs = math.sqrt(max(2.0 + sign * anticommutator_mean, 0.0))
-    return CovarianceInequality(
-        lhs=lhs, rhs=rhs, slack=rhs - lhs, side=side, m_parity=m_parity
-    )
+    records = []
+    for m_parity, sign in ((0, 1.0), (1, -1.0)):
+        lhs = abs(correlators[0] + sign * correlators[1])
+        rhs = math.sqrt(max(2.0 + sign * anticommutator_mean, 0.0))
+        records.append(
+            CovarianceInequality(lhs=lhs, rhs=rhs, slack=rhs - lhs, m_parity=m_parity)
+        )
+    return records[0], records[1]

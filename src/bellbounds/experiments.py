@@ -24,7 +24,7 @@ from .linalg import (
     read_state_file,
 )
 from .observables import MeasurementScenario
-from .polynomials import BellPolynomial, mk, realize, svetlichny
+from .polynomials import mk, realize, svetlichny
 from .rng import SplitMix64
 
 SWEEP_CSV_HEADER = "alpha,operator_value,refined_bound,known_tsirelson,classical_bound,algebraic_bound"
@@ -50,11 +50,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep description: a preset figure or a custom operator/angle template.
+    """Preset figure sweep: 'fig1' and 'fig2' sweep svetlichny(3, '-') against
+    the eta-refined bound, 'fig3' sweeps mk(3) against the chi-refined one.
 
-    ``state`` is ``"ghz"`` or a state-file path.  Custom sweeps must supply
-    ``operator``, ``angle_template`` (alpha -> per-party (theta0, theta1)
-    pairs) and ``bound_kind`` ('svetlichny' or 'mk').
+    ``state`` is ``"ghz"`` or a state-file path.
     """
 
     figure: str = "fig1"
@@ -62,22 +61,14 @@ class SweepConfig:
     alpha_end: float = math.pi
     samples: int = 201
     state: str = "ghz"
-    operator: BellPolynomial | None = None
-    angle_template: Callable[[float], tuple] | None = None
-    bound_kind: str | None = None
 
     def __post_init__(self):
-        if self.figure not in ("fig1", "fig2", "fig3", "custom"):
+        if self.figure not in ("fig1", "fig2", "fig3"):
             raise ValueError(f"unknown figure {self.figure!r}")
         if not self.alpha_start < self.alpha_end:
             raise ValueError("alpha_start must be below alpha_end")
         if not 2 <= self.samples <= 10**6:
             raise ValueError(f"samples must be in [2, 10**6], got {self.samples}")
-        if self.figure == "custom":
-            if self.operator is None or self.angle_template is None:
-                raise ValueError("custom sweeps need operator and angle_template")
-            if self.bound_kind not in ("svetlichny", "mk"):
-                raise ValueError("custom sweeps need bound_kind 'svetlichny' or 'mk'")
 
 
 def _fig1_angles(alpha: float) -> tuple:
@@ -97,18 +88,11 @@ _FIGURE_ANGLES = {"fig1": _fig1_angles, "fig2": _fig2_angles, "fig3": _fig3_angl
 
 def figure_sweep(config: SweepConfig) -> list[SweepRow]:
     """Rows of (alpha, operator value, refined bound, reference lines)."""
-    if config.figure == "custom":
-        operator = config.operator
-        template = config.angle_template
-        bound_kind = config.bound_kind
+    template = _FIGURE_ANGLES[config.figure]
+    if config.figure == "fig3":
+        operator, best_bound = mk(3), best_mk_bound
     else:
-        template = _FIGURE_ANGLES[config.figure]
-        if config.figure == "fig3":
-            operator = mk(3)
-            bound_kind = "mk"
-        else:
-            operator = svetlichny(3, "-")
-            bound_kind = "svetlichny"
+        operator, best_bound = svetlichny(3, "-"), best_svetlichny_bound
     if config.state == "ghz":
         state = ghz_state(operator.n_parties)
     else:
@@ -122,10 +106,7 @@ def figure_sweep(config: SweepConfig) -> list[SweepRow]:
         a = float(alpha)
         scenario = MeasurementScenario.planar(template(a))
         value = expectation(state, realize(operator, scenario))
-        if bound_kind == "mk":
-            report = best_mk_bound(scenario, state)
-        else:
-            report = best_svetlichny_bound(scenario, state)
+        report = best_bound(scenario, state)
         if abs(value) > report.value + SWEEP_SLACK_TOL:
             raise InvariantViolation(
                 f"sweep row at alpha={a!r}: |value| {abs(value)!r} exceeds "
@@ -265,9 +246,11 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     B_i, B_j (on Y) and C (on X).  Checked per trial: both Svetlichny
     parities against the eta-refined bound, odd-N MK against the
     chi-refined bound, the two-block inequalities on the random
-    bipartition (both sides, both parities of m), evaluated on the drawn
-    per-party observables, and positive semidefiniteness of the
-    covariance matrix of all 2N scenario observables' validated 2x2 locals.
+    bipartition (both sides; one covariance_inequality call per side
+    gives both parities of m), evaluated on the drawn per-party
+    observables, and positive semidefiniteness of the covariance matrix
+    of all 2N scenario observables' validated 2x2 locals, read from their
+    1- and 2-party reduced states.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -302,12 +285,11 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 break
         x_parties = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
         y_parties = [p for p in range(1, n + 1) if p not in x_parties]
-        for side, own, rest in (("X", x_parties, y_parties), ("Y", y_parties, x_parties)):
+        for own, rest in ((x_parties, y_parties), (y_parties, x_parties)):
             b_i = _random_block(rng, scenario, own)
             b_j = _random_block(rng, scenario, own)
             c_op = _random_block(rng, scenario, rest)
-            for m_parity in (0, 1):
-                record = covariance_inequality(state, b_i, b_j, c_op, m_parity, side=side)
+            for record in covariance_inequality(state, b_i, b_j, c_op):
                 margins.append(("covariance", record.slack, HARNESS_SLACK_TOL))
 
         witness = covariance_witness(state, [obs for pair in scenario.pairs for obs in pair])

@@ -7,6 +7,7 @@ frozen after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,24 +297,39 @@ class CovarianceWitness:
 def covariance_witness(state: QuantumState, observables) -> CovarianceWitness:
     """M, V, C for per-party observables (``.party``, validated 2x2 ``.local``).
 
-    Each entry is one :func:`product_mean` of at most two factors (the locals
-    multiplied when they share a party): k (k + 3) / 2 means for k observables,
-    each O(2**N) work on a pure state and O(4**N) on a mixed one.
+    Every entry is read from a 1- or 2-party reduced state of the parties
+    present, each taken once: ``v[i] = Tr(rho_p O_i)``, ``m[i, j] =
+    Re Tr(rho_p O_i O_j)`` when both observables sit on party p, and
+    ``Re Tr(rho_pq (O_i x O_j))`` otherwise.  For P parties present that is
+    P + P (P - 1) / 2 partial traces, each O(2**N) work on a pure state and
+    O(4**N) on a mixed one, and no full-space operator.
     """
-    factors = [(obs.party, obs.local) for obs in observables]
-    if not factors:
+    observables = list(observables)
+    if not observables:
         raise ValueError("need at least one observable")
-    v_complex = np.array([product_mean(state, {p: a}) for p, a in factors])
+    by_party = {}
+    for index, obs in enumerate(observables):
+        by_party.setdefault(obs.party, []).append(index)
+    rows = {party: np.array(own) for party, own in by_party.items()}
+    locals_ = np.array([obs.local for obs in observables])
+    k = len(observables)
+    v_complex = np.empty(k, dtype=complex)
+    m = np.empty((k, k))
+    for party, own in rows.items():
+        rho = reduced_state(state, (party,)).density
+        stack = locals_[own]
+        v_complex[own] = np.einsum("xy,iyx->i", rho, stack)
+        m[own[:, None], own] = np.einsum("xy,iyz,jzx->ij", rho, stack, stack).real
+    for p, q in itertools.combinations(sorted(rows), 2):
+        # rho[x y, z w] with x, z on p: Tr(rho (A x B)) = sum rho A[z, x] B[w, y]
+        rho = reduced_state(state, (p, q)).density.reshape(2, 2, 2, 2)
+        block = np.einsum("xyzw,izx,jwy->ij", rho, locals_[rows[p]], locals_[rows[q]]).real
+        m[rows[p][:, None], rows[q]] = block
+        m[rows[q][:, None], rows[p]] = block.T
     worst_imag = float(np.max(np.abs(v_complex.imag)))
     if worst_imag > IMAG_TOL:
         raise InvariantViolation(f"mean vector keeps imaginary residue {worst_imag:.3e}")
-    k = len(factors)
-    m = np.empty((k, k))
-    for i, (p, a) in enumerate(factors):
-        for j in range(i, k):
-            q, b = factors[j]
-            pair = {p: a @ b} if p == q else {p: a, q: b}
-            m[i, j] = m[j, i] = product_mean(state, pair).real
+    m = np.triu(m) + np.triu(m, 1).T  # Re Tr(rho O_i O_j) for i <= j, mirrored
     v = np.array(v_complex.real)
     c = m - np.outer(v, v)
     for frozen in (m, v, c):

@@ -14,7 +14,8 @@ Kronecker chain per term, kept as the dense reference for the library's
 factored ``realize``; ``dense_covariance_inequality`` and
 ``dense_covariance_witness`` are the same for the two-block covariance
 inequality and the harness's covariance matrix, on full 2**N x 2**N
-operators.
+operators.  ``random_states`` is the seeded pure and mixed input the
+marginal routes are checked on.
 """
 
 import math
@@ -85,6 +86,21 @@ def dense_covariance_witness(density, observables):
     v = np.array([np.trace(density @ op).real for op in ops])
     m = np.array([[np.trace(density @ a @ b).real for b in ops] for a in ops])
     return m, v, m - np.outer(v, v)
+
+
+def random_states(seed, n_parties):
+    """A Haar pure state and a rank-2 mixture on n_parties qubits."""
+    # imported here, so that loading the closed forms does not load the package
+    from bellbounds import QuantumState
+
+    gen = np.random.default_rng(seed)
+    dim = 1 << n_parties
+    vecs = gen.normal(size=(2, dim)) + 1j * gen.normal(size=(2, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weight = gen.uniform()
+    rho = weight * np.outer(vecs[0], vecs[0].conj())
+    rho += (1.0 - weight) * np.outer(vecs[1], vecs[1].conj())
+    return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
 
 
 def ghz_planar_correlator(thetas) -> float:

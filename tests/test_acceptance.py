@@ -221,8 +221,7 @@ def test_criterion_07_commuting_pair_consistency():
     for _ in range(200):
         scenario = _diagonal_scenario(rng, 3)
         state = _diagonal_state(rng, 3)
-        plus = chi(scenario, state, 1, 2, "+")
-        minus = chi(scenario, state, 1, 2, "-")
+        plus, minus = chi(scenario, state, 1, 2)
         bound = mk_bound_odd(3, plus, minus)
         gap = abs(bound - mk_bound_classical_pair(3, plus / 2.0))
         worst_gap = max(worst_gap, gap)

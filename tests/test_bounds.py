@@ -29,7 +29,7 @@ from bellbounds import (
     svetlichny_bound,
 )
 from bellbounds.experiments import random_scenario
-from bellbounds.linalg import SIGMA_X, SIGMA_Y
+from bellbounds.linalg import SIGMA_X, SIGMA_Y, reduced_state
 from bellbounds.observables import embed_local, planar_observable
 from bellbounds.rng import SplitMix64
 
@@ -41,6 +41,7 @@ from oracles import (
     fig1_party1_eta,
     fig3_pair12_bound,
     ghz_planar_correlator,
+    random_states,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -131,19 +132,15 @@ class TestChi:
         for alpha in np.linspace(-math.pi, math.pi, 41):
             a = float(alpha)
             scenario = ghz3_scenario((a, -math.pi / 4))
-            assert abs(
-                chi(scenario, state, 1, 2, "+") + 2.0 * math.sin(a + math.pi / 4)
-            ) < 1e-12
-            assert abs(
-                chi(scenario, state, 1, 2, "-") - 2.0 * math.sin(a + math.pi / 4)
-            ) < 1e-12
+            plus, minus = chi(scenario, state, 1, 2)
+            assert abs(plus + 2.0 * math.sin(a + math.pi / 4)) < 1e-12
+            assert abs(minus - 2.0 * math.sin(a + math.pi / 4)) < 1e-12
 
     @given(angles, angles, angles, angles)
     def test_matches_gap_oracle(self, a0, a1, b0, b1):
         scenario = ghz3_scenario((a0, a1), (b0, b1))
         state = ghz_state(3)
-        for sign in ("+", "-"):
-            got = chi(scenario, state, 1, 2, sign)
+        for sign, got in zip("+-", chi(scenario, state, 1, 2)):
             assert abs(got - chi_ghz_pair(a0 - a1, b0 - b1, sign)) < 1e-12
 
     @given(angles, angles, angles, angles)
@@ -154,30 +151,26 @@ class TestChi:
             (p, s): embed_local(scenario.observable(p, s).local, p, 3)
             for p in (1, 2) for s in (0, 1)
         }
-        for sign, pairing in (
-            ("+", ((0, 1), (1, 0))),
-            ("-", ((0, 0), (1, 1))),
+        for got, pairing in zip(
+            chi(scenario, state, 1, 2),
+            (((0, 1), (1, 0)), ((0, 0), (1, 1))),  # chi+, then chi-
         ):
             (sa, sb), (sc_, sd) = pairing
             first = obs[1, sa] @ obs[2, sb]
             second = obs[1, sc_] @ obs[2, sd]
             direct = expectation(state, first @ second + second @ first)
-            assert abs(chi(scenario, state, 1, 2, sign) - direct) < 1e-12
+            assert abs(got - direct) < 1e-12
 
     def test_identical_observables_hit_two_exactly(self):
         scenario = MeasurementScenario.planar(((0.2, 0.2), (1.0, 1.0), (0.0, 0.0)))
         state = ghz_state(3)
-        assert chi(scenario, state, 1, 2, "+") == 2.0
-        assert chi(scenario, state, 1, 2, "-") == 2.0
+        assert chi(scenario, state, 1, 2) == (2.0, 2.0)
 
     def test_symmetric_under_pair_swap(self):
         scenario = ghz3_scenario((0.9, -0.4), (0.1, 1.3))
         state = ghz_state(3)
-        for sign in ("+", "-"):
-            assert abs(
-                chi(scenario, state, 1, 2, sign)
-                - chi(scenario, state, 2, 1, sign)
-            ) < 1e-14
+        for forward, backward in zip(chi(scenario, state, 1, 2), chi(scenario, state, 2, 1)):
+            assert abs(forward - backward) < 1e-14
 
     @pytest.mark.parametrize("n_parties", (3, 5))
     def test_symmetric_on_random_states(self, n_parties):
@@ -194,17 +187,16 @@ class TestChi:
         scenario = random_scenario(5100 + n_parties, n_parties, "bloch")
         for state in random_states(5100 + n_parties, n_parties):
             for n, m in itertools.combinations(range(1, n_parties + 1), 2):
-                for sign in "+-":
-                    forward = chi(scenario, state, n, m, sign)
-                    assert abs(forward - chi(scenario, state, m, n, sign)) <= bound
+                for forward, backward in zip(
+                    chi(scenario, state, n, m), chi(scenario, state, m, n)
+                ):
+                    assert abs(forward - backward) <= bound
 
     def test_argument_validation(self):
         scenario = ghz3_scenario((0.0, 1.0))
         state = ghz_state(3)
         with pytest.raises(ValueError):
-            chi(scenario, state, 1, 1, "+")
-        with pytest.raises(ValueError):
-            chi(scenario, state, 1, 2, "x")
+            chi(scenario, state, 1, 1)
 
 
 class TestMkBoundOdd:
@@ -281,8 +273,7 @@ class TestClassicallyCorrelatedPairs:
         for _ in range(120):
             scenario = diagonal_scenario(rng, 3)
             state = diagonal_state(rng, 3)
-            plus = chi(scenario, state, 1, 2, "+")
-            minus = chi(scenario, state, 1, 2, "-")
+            plus, minus = chi(scenario, state, 1, 2)
             assert abs(plus - minus) < 1e-12
             bound = mk_bound_odd(3, plus, minus)
             assert abs(bound - mk_bound_classical_pair(3, plus / 2.0)) < 1e-10
@@ -296,18 +287,6 @@ class TestClassicallyCorrelatedPairs:
         assert report.kind == "mk-classical-pair"
         assert -1.0 <= report.witness["quad_corr"] <= 1.0
         assert 2.0 <= report.value <= 2.0 * ROOT2 + 1e-12
-
-
-def random_states(seed, n_parties):
-    """A random pure state and a rank-2 mixture on n_parties qubits."""
-    gen = np.random.default_rng(seed)
-    dim = 1 << n_parties
-    vecs = gen.normal(size=(2, dim)) + 1j * gen.normal(size=(2, dim))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    weight = gen.uniform()
-    rho = weight * np.outer(vecs[0], vecs[0].conj())
-    rho += (1.0 - weight) * np.outer(vecs[1], vecs[1].conj())
-    return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
 
 
 def embedded_observables(scenario):
@@ -333,15 +312,15 @@ class TestReducedRouteMatchesDense:
                 half = 0.5 * expectation(state, anticommutator(obs[p, 0], obs[p, 1]))
                 assert abs(eta(scenario, state, p) - min(half * half, 1.0)) < 1e-12
             for n, m in ((n, m) for n in parties for m in parties if n != m):
-                for sign, ((s0, t0), (s1, t1)) in (
-                    ("+", ((0, 1), (1, 0))),
-                    ("-", ((0, 0), (1, 1))),
+                for got, ((s0, t0), (s1, t1)) in zip(
+                    chi(scenario, state, n, m),
+                    (((0, 1), (1, 0)), ((0, 0), (1, 1))),  # chi+, then chi-
                 ):
                     direct = expectation(
                         state,
                         anticommutator(obs[n, s0] @ obs[m, t0], obs[n, s1] @ obs[m, t1]),
                     )
-                    assert abs(chi(scenario, state, n, m, sign) - direct) < 1e-12
+                    assert abs(got - direct) < 1e-12
 
     @pytest.mark.parametrize("n_parties", (3, 5, 7))
     def test_quad_corr_on_commuting_settings(self, n_parties):
@@ -364,7 +343,7 @@ class TestReducedRouteMatchesDense:
         with pytest.raises(ValueError, match="parties"):
             eta(scenario, state, 1)
         with pytest.raises(ValueError, match="parties"):
-            chi(scenario, state, 1, 2, "+")
+            chi(scenario, state, 1, 2)
         with pytest.raises(ValueError, match="parties"):
             classical_pair_report(scenario, state, 1, 2)
 
@@ -416,21 +395,31 @@ class TestBestMkBound:
 
     @pytest.mark.parametrize("n_parties", (3, 5, 7))
     def test_scans_each_unordered_pair_once(self, monkeypatch, n_parties):
-        calls = []
+        # one chi call per unordered pair, and each reads one pair marginal
+        # for both signs
+        calls, marginals = [], []
 
-        def counting(scenario, state, n, m, sign):
-            calls.append((n, m, sign))
-            return chi(scenario, state, n, m, sign)
+        def counting(scenario, state, n, m):
+            calls.append((n, m))
+            return chi(scenario, state, n, m)
+
+        def tracing(state, parties):
+            marginals.append(tuple(parties))
+            return reduced_state(state, parties)
 
         monkeypatch.setattr(bounds, "chi", counting)
+        monkeypatch.setattr(bounds, "reduced_state", tracing)
         scenario = random_scenario(5300 + n_parties, n_parties, "bloch")
-        pairs = itertools.combinations(range(1, n_parties + 1), 2)
-        expected = {(n, m, sign) for n, m in pairs for sign in "+-"}
+        expected = set(itertools.combinations(range(1, n_parties + 1), 2))
         for state in random_states(5300 + n_parties, n_parties):
             calls.clear()
+            marginals.clear()
             report = best_mk_bound(scenario, state)
-            assert len(calls) == n_parties * (n_parties - 1)
+            assert len(calls) == n_parties * (n_parties - 1) // 2
             assert set(calls) == expected
+            pair_marginals = [parties for parties in marginals if len(parties) == 2]
+            assert len(pair_marginals) == n_parties * (n_parties - 1) // 2
+            assert set(pair_marginals) == expected
             first, second = report.witness["pair"]
             assert first < second
 
@@ -467,7 +456,7 @@ class TestCovarianceInequality:
         first, second, other = (
             planar_block(scenario, [ps]) for ps in ((1, 0), (1, 1), (2, 0))
         )
-        result = covariance_inequality(ghz_state(2), first, second, other, 0)
+        result, _ = covariance_inequality(ghz_state(2), first, second, other)
         assert abs(result.lhs - ROOT2) < 1e-12
         assert abs(result.rhs - ROOT2) < 1e-12
         assert result.slack > -1e-10
@@ -476,7 +465,7 @@ class TestCovarianceInequality:
         scenario = MeasurementScenario.planar(((0.7, 0.7), (0.1, 0.1)))
         x = planar_block(scenario, [(1, 0)])
         y = planar_block(scenario, [(2, 0)])
-        result = covariance_inequality(ghz_state(2), x, x, y, 1)
+        _, result = covariance_inequality(ghz_state(2), x, x, y)
         assert result.lhs == 0.0
         assert result.rhs == 0.0
 
@@ -486,8 +475,7 @@ class TestCovarianceInequality:
         first, second, other = (
             planar_block(scenario, [ps]) for ps in ((1, 0), (1, 1), (2, 0))
         )
-        for m_parity in (0, 1):
-            result = covariance_inequality(ghz_state(3), first, second, other, m_parity)
+        for result in covariance_inequality(ghz_state(3), first, second, other):
             assert result.slack >= -1e-10
 
     @pytest.mark.parametrize("n_parties", range(2, 8))
@@ -509,18 +497,16 @@ class TestCovarianceInequality:
             mask = 1 + rng.below((1 << n_parties) - 2)
             xs = [p for p in parties if mask >> (p - 1) & 1]
             ys = [p for p in parties if not mask >> (p - 1) & 1]
-            for side, (own, rest) in (("X", (xs, ys)), ("Y", (ys, xs))):
+            for own, rest in ((xs, ys), (ys, xs)):
                 first, second, other = block(own), block(own), block(rest)
                 for state in states:
                     density = state.density_matrix()
-                    for m_parity in (0, 1):
-                        got = covariance_inequality(
-                            state, first, second, other, m_parity, side=side
-                        )
+                    records = covariance_inequality(state, first, second, other)
+                    assert [got.m_parity for got in records] == [0, 1]
+                    for m_parity, got in enumerate(records):
                         lhs, radicand = dense_covariance_inequality(
                             density, first, second, other, m_parity
                         )
-                        assert got.side == side and got.m_parity == m_parity
                         assert abs(got.lhs - lhs) < 1e-12
                         assert abs(got.rhs**2 - max(radicand, 0.0)) < 1e-12
 
@@ -548,14 +534,14 @@ class TestCovarianceInequality:
             for block in (first, second)
         )
         gap = math.fsum(theta(a) - theta(b) for a, b in zip(first, second))
-        for m_parity, sign in ((0, 1.0), (1, -1.0)):
-            tracemalloc.start()
-            try:
-                got = covariance_inequality(state, first, second, other, m_parity)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+        tracemalloc.start()
+        try:
+            records = covariance_inequality(state, first, second, other)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for got, sign in zip(records, (1.0, -1.0)):
             assert abs(got.lhs - abs(corr_i + sign * corr_j)) < 1e-12
             assert abs(got.rhs**2 - (2.0 + sign * 2.0 * math.cos(gap))) < 1e-12
 
@@ -567,10 +553,10 @@ class TestCovarianceInequality:
             planar_block(scenario, [ps]) for ps in ((1, 0), (1, 1), (1, 1))
         )
         with pytest.raises(ValueError, match="shares parties"):
-            covariance_inequality(ghz_state(2), first, second, clash, 0)
+            covariance_inequality(ghz_state(2), first, second, clash)
         with pytest.raises(ValueError, match="shares parties"):
             covariance_inequality(
-                ghz_state(2), first, planar_block(scenario, [(2, 0)]), clash, 0
+                ghz_state(2), first, planar_block(scenario, [(2, 0)]), clash
             )
 
     def test_rejects_repeated_party(self):
@@ -580,14 +566,14 @@ class TestCovarianceInequality:
         other = planar_block(scenario, [(3, 0)])
         for blocks in ((twice, once, other), (once, twice, other), (once, once, twice)):
             with pytest.raises(ValueError, match="repeats party 1"):
-                covariance_inequality(ghz_state(3), *blocks, 0)
+                covariance_inequality(ghz_state(3), *blocks)
 
     def test_rejects_party_outside_the_state(self):
         scenario = MeasurementScenario.planar(((0.0, 1.0),) * 4)
         x = planar_block(scenario, [(1, 0)])
         beyond = planar_block(scenario, [(4, 0)])
         with pytest.raises(ValueError, match="1..3"):
-            covariance_inequality(ghz_state(3), x, x, beyond, 0)
+            covariance_inequality(ghz_state(3), x, x, beyond)
 
     def test_rejects_non_dichotomic(self):
         # a non-dichotomic local cannot become an observable, and a block
@@ -596,16 +582,7 @@ class TestCovarianceInequality:
             DichotomicObservable(0.5 * SIGMA_X, 1, 0)
         other = [DichotomicObservable(SIGMA_Y, 2, 0)]
         with pytest.raises(TypeError):
-            covariance_inequality(ghz_state(2), [SIGMA_X], [SIGMA_X], other, 0)
-
-    def test_argument_validation(self):
-        state = ghz_state(2)
-        x = [DichotomicObservable(SIGMA_X, 1, 0)]
-        y = [DichotomicObservable(SIGMA_Y, 2, 0)]
-        with pytest.raises(ValueError):
-            covariance_inequality(state, x, x, y, 2)
-        with pytest.raises(ValueError):
-            covariance_inequality(state, x, x, y, 0, side="Z")
+            covariance_inequality(ghz_state(2), [SIGMA_X], [SIGMA_X], other)
 
 
 class TestMasterSoundness:

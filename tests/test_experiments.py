@@ -178,11 +178,11 @@ class TestVerifyBoundsRandom:
         # recorded as well, so the test sees every draw's place in the order.
         distinct = []
 
-        def recording(state, first, second, other, m_parity, side="X"):
-            record = covariance_inequality(state, first, second, other, m_parity, side=side)
+        def recording(state, first, second, other):
+            records = covariance_inequality(state, first, second, other)
             if [obs.setting for obs in first] != [obs.setting for obs in second]:
-                distinct.append(record.slack)
-            return record
+                distinct.extend(record.slack for record in records)
+            return records
 
         monkeypatch.setattr(experiments, "covariance_inequality", recording)
         report = verify_bounds_random(42, 200, 2, 5)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from bellbounds import (
     ghz_state,
     write_state_file,
 )
+from bellbounds import linalg
 from bellbounds.experiments import random_scenario
 from bellbounds.linalg import (
     DIM_CAP,
@@ -35,7 +37,7 @@ from bellbounds.linalg import (
 from bellbounds.observables import planar_observable
 from bellbounds.rng import SplitMix64
 
-from oracles import dense_covariance_witness, ghz_planar_correlator
+from oracles import dense_covariance_witness, ghz_planar_correlator, random_states
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -266,18 +268,6 @@ class TestJacobi:
         assert np.max(np.abs(got - np.linalg.eigvalsh(gram))) < 1e-9
 
 
-def random_states(seed, n_parties):
-    """A Haar pure state and a rank-2 mixture on n_parties qubits."""
-    gen = np.random.default_rng(seed)
-    dim = 1 << n_parties
-    vecs = gen.normal(size=(2, dim)) + 1j * gen.normal(size=(2, dim))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    weight = gen.uniform()
-    rho = weight * np.outer(vecs[0], vecs[0].conj())
-    rho += (1.0 - weight) * np.outer(vecs[1], vecs[1].conj())
-    return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
-
-
 def all_observables(scenario):
     return [obs for pair in scenario.pairs for obs in pair]
 
@@ -314,16 +304,26 @@ class TestCovarianceWitness:
         wm = covariance_witness(rho, ops)
         assert np.max(np.abs(wp.c - wm.c)) < 1e-12
 
-    @pytest.mark.parametrize("n_parties", range(2, 7))
+    @pytest.mark.parametrize("n_parties", range(2, 9))
     @pytest.mark.parametrize("family", ["planar", "bloch"])
     def test_matches_dense_oracle(self, n_parties, family):
-        # Each mean, on either route, ends in a sum of at most 2**N + 8
-        # terms whose moduli add up to at most 4: every factor is unitary
-        # with entries of modulus <= 1 and at most 4 nonzeros per row once
-        # embedded, and |rho_ik| <= (rho_ii + rho_kk) / 2 with unit trace.
-        # So each entry of M or v is within 4 (2**N + 8) eps of its exact
-        # value on each route, the routes differ by twice that, and
-        # C = M - v v^T adds a few eps more: 8 (2**N + 16) eps covers it.
+        # With u = eps / 2, a sum of n terms is off by at most (n - 1) u times
+        # the sum of their moduli, and a complex product by 3 u of its
+        # modulus.  Each local is unitary, so its entries have modulus <= 1
+        # and sum_z |a_yz| |b_zx| <= 1; |rho_kl| <= sqrt(rho_kk rho_ll), and
+        # the trace is 1.
+        # Dense route: Tr(rho O_i) sums 2**N diagonal entries of two products,
+        # moduli <= 2, so v is within (2**N + 6) 2u; Tr(rho O_i O_j) has
+        # products of products, moduli <= 4, so M is within (2**N + 10) 4u.
+        # Marginal route: a d x d marginal sums K = 2**N / d products per
+        # entry, off by (K + 3) u sqrt(P_a P_b) with P its diagonal, and
+        # sum_ab sqrt(P_a P_b) <= d.  Its d x d trace against one factor
+        # (v, d = 2: 4 terms) or two (same party, d = 2: 8 terms; a pair,
+        # d = 4: 16 terms) adds 6 u * 2, 13 u * 2 or 21 u * 4.  So v is within
+        # (2**N + 18) u and M within (2**N + 96) u.  The routes differ by
+        # dv <= (3 2**N + 30) u and dM <= (5 2**N + 136) u, and
+        # C = M - v v^T (|v| <= 1) by dM + 2 dv + 6 u <= (11 2**N + 202) u,
+        # inside 8 (2**N + 16) eps = (16 2**N + 256) u.
         tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
         scenario = random_scenario(6100 + n_parties, n_parties, family)
         observables = all_observables(scenario)
@@ -332,6 +332,30 @@ class TestCovarianceWitness:
             want = dense_covariance_witness(state.density_matrix(), observables)
             for field, dense in zip((got.m, got.v, got.c), want):
                 assert np.max(np.abs(field - dense)) <= tol
+
+    @pytest.mark.parametrize("n_parties", (2, 3, 5))
+    def test_reads_each_marginal_once(self, monkeypatch, n_parties):
+        # one reduced state per party and per unordered pair, and no
+        # full-space product mean
+        marginals = []
+
+        def tracing(state, parties):
+            marginals.append(tuple(parties))
+            return reduced_state(state, parties)
+
+        def forbidden(state, factors):
+            raise AssertionError("covariance_witness called product_mean")
+
+        monkeypatch.setattr(linalg, "reduced_state", tracing)
+        monkeypatch.setattr(linalg, "product_mean", forbidden)
+        observables = all_observables(random_scenario(6400 + n_parties, n_parties, "bloch"))
+        parties = range(1, n_parties + 1)
+        expected = [(p,) for p in parties] + list(itertools.combinations(parties, 2))
+        for state in random_states(6500 + n_parties, n_parties):
+            marginals.clear()
+            covariance_witness(state, observables)
+            assert len(marginals) == n_parties + n_parties * (n_parties - 1) // 2
+            assert sorted(marginals) == sorted(expected)
 
     def test_pure_twelve_parties_without_dense_operators(self):
         # The dense route would need 24 embedded operators of 268 MB each.

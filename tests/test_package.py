@@ -64,3 +64,38 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
     assert not unused
+
+
+def test_no_unread_private_names():
+    """Every module-level private function, class or constant in
+    ``src/bellbounds/`` is read somewhere in ``src/``, so a helper goes when
+    its last caller does.  A read is a loaded plain name or an attribute."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(ROOT.glob("src/bellbounds/*.py"))
+    }
+    assert trees
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    assert not unread
