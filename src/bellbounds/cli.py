@@ -131,6 +131,9 @@ def _run_figure(args) -> int:
 def _run_verify(args) -> int:
     report = verify_bounds_random(args.seed, args.trials, args.n_min, args.n_max)
     sys.stdout.write(report.to_text())
+    sys.stderr.write(
+        f"worst_slack_covariance_distinct={report.worst_slack_covariance_distinct:.15g}\n"
+    )
     return 0 if report.violations == 0 else 1
 
 

@@ -215,12 +215,18 @@ class HarnessReport:
 
     A violation is a bound slack below -1e-9 or a covariance eigenvalue
     below -1e-10.  worst_slack_mk is +inf when no odd-N trial ran.
+    worst_slack_covariance_distinct is the worst covariance slack over the
+    draws whose B_i and B_j settings differ (+inf when there was none):
+    a draw with B_i = B_j has both sides 0 at m = 1, which pins
+    worst_slack_covariance at 0.  It is left out of to_text, so the
+    verify report on stdout keeps its lines.
     """
 
     trials: int
     worst_slack_svetlichny: float
     worst_slack_mk: float
     worst_slack_covariance: float
+    worst_slack_covariance_distinct: float
     worst_psd_eigen: float
     violations: int
 
@@ -261,6 +267,7 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     svet_polys = {n: (svetlichny(n, "+"), svetlichny(n, "-")) for n in range(n_min, n_max + 1)}
     mk_polys = {n: mk(n) for n in range(n_min, n_max + 1) if n % 2 and n >= 3}
     worst = dict.fromkeys(("svetlichny", "mk", "covariance", "psd"), math.inf)
+    worst_distinct = math.inf  # covariance slack over draws with B_i != B_j
     violations = 0
     for trial in range(trials):
         n = n_min + trial % span
@@ -289,8 +296,11 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
             b_i = _random_block(rng, scenario, own)
             b_j = _random_block(rng, scenario, own)
             c_op = _random_block(rng, scenario, rest)
+            distinct = [obs.setting for obs in b_i] != [obs.setting for obs in b_j]
             for record in covariance_inequality(state, b_i, b_j, c_op):
                 margins.append(("covariance", record.slack, HARNESS_SLACK_TOL))
+                if distinct:
+                    worst_distinct = min(worst_distinct, record.slack)
 
         witness = covariance_witness(state, [obs for pair in scenario.pairs for obs in pair])
         smallest = float(jacobi_eigenvalues(witness.c)[0])
@@ -305,6 +315,7 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
         worst_slack_svetlichny=worst["svetlichny"],
         worst_slack_mk=worst["mk"],
         worst_slack_covariance=worst["covariance"],
+        worst_slack_covariance_distinct=worst_distinct,
         worst_psd_eigen=worst["psd"],
         violations=violations,
     )

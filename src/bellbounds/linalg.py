@@ -231,53 +231,66 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     t**2 + 2*theta*t - 1 = 0 of smaller magnitude) until the off-diagonal
     Frobenius norm drops to ``JACOBI_OFF_TOL``.  Sized for the small
     correlation matrices built here; raises ArithmeticError if
-    ``JACOBI_MAX_SWEEPS`` sweeps do not get there.
+    ``JACOBI_MAX_SWEEPS`` sweeps do not get there, and ValueError for a
+    non-finite, non-square, non-real or asymmetric input.
+
+    The rotations run on a list of row lists of Python floats: at k <= 12
+    numpy's per-element indexing and slice copies cost several times the
+    arithmetic.  Python float ``*``, ``-`` and ``+`` round exactly like
+    numpy's float64 ufuncs (no fused multiply-add), and the update order is
+    that of the numpy row/column sweep (``tests/oracles.py``), so the
+    eigenvalues are the same bit for bit.
     """
     arr = np.asarray(matrix)
     if np.iscomplexobj(arr):
         if arr.size and float(np.max(np.abs(arr.imag))) > HERMITIAN_TOL:
             raise ValueError("matrix has a non-real part")
+        if not np.isfinite(arr.imag).all():
+            raise ValueError("matrix has a non-finite entry")
         arr = arr.real
     a = np.array(arr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     sym_defect = float(np.max(np.abs(a - a.T)))
     if sym_defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not symmetric: defect {sym_defect:.3e}")
     k = a.shape[0]
     if k == 1:
         return a.diagonal().copy()
-    a = (a + a.T) / 2.0
+    rows = ((a + a.T) / 2.0).tolist()
     for _ in range(JACOBI_MAX_SWEEPS):
         # sum the off-diagonal squares directly: the textbook form
         # ||A||_F**2 - ||diag||**2 cancels and cannot resolve below
         # ~||A||**2 * eps, which is far above JACOBI_OFF_TOL**2
-        off = a.copy()
+        off = np.array(rows)
         np.fill_diagonal(off, 0.0)
         off_sq = float(np.sum(off * off))
         if off_sq <= JACOBI_OFF_TOL * JACOBI_OFF_TOL:
-            return np.sort(np.diag(a).copy())
+            return np.sort(np.array([rows[i][i] for i in range(k)]))
         for p in range(k - 1):
             for q in range(p + 1, k):
-                apq = float(a[p, q])
+                apq = rows[p][q]
                 if apq == 0.0:
                     continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                theta = (rows[q][q] - rows[p][p]) / (2.0 * apq)
                 # hypot keeps theta**2 from overflowing for denormal apq
                 t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
+                for row in rows:  # columns p and q, rows p and q included
+                    x = row[p]
+                    y = row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                row_p = rows[p]
+                row_q = rows[q]
+                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+                rows[p][q] = rows[q][p] = 0.0
     raise ArithmeticError("Jacobi sweep budget exhausted before convergence")
 
 

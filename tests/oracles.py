@@ -15,7 +15,10 @@ factored ``realize``; ``dense_covariance_inequality`` and
 ``dense_covariance_witness`` are the same for the two-block covariance
 inequality and the harness's covariance matrix, on full 2**N x 2**N
 operators.  ``random_states`` is the seeded pure and mixed input the
-marginal routes are checked on.
+marginal routes are checked on.  ``numpy_jacobi_eigenvalues`` is the
+library's cyclic Jacobi sweep as it ran on a numpy array, row and column
+slices at a time, kept as the bit-for-bit reference for the Python-float
+sweep in ``linalg.jacobi_eigenvalues``.
 """
 
 import math
@@ -86,6 +89,53 @@ def dense_covariance_witness(density, observables):
     v = np.array([np.trace(density @ op).real for op in ops])
     m = np.array([[np.trace(density @ a @ b).real for b in ops] for a in ops])
     return m, v, m - np.outer(v, v)
+
+
+def numpy_jacobi_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues, ascending, of a finite real symmetric matrix by cyclic Jacobi.
+
+    The same rotations, update order, stopping test and constants as
+    ``linalg.jacobi_eigenvalues``, on a numpy array; input validation is
+    left to the library.
+    """
+    from bellbounds.linalg import JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL
+
+    a = np.array(matrix, dtype=float)
+    k = a.shape[0]
+    if k == 1:
+        return a.diagonal().copy()
+    a = (a + a.T) / 2.0
+    for _ in range(JACOBI_MAX_SWEEPS):
+        # sum the off-diagonal squares directly: the textbook form
+        # ||A||_F**2 - ||diag||**2 cancels and cannot resolve below
+        # ~||A||**2 * eps, which is far above JACOBI_OFF_TOL**2
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        off_sq = float(np.sum(off * off))
+        if off_sq <= JACOBI_OFF_TOL * JACOBI_OFF_TOL:
+            return np.sort(np.diag(a).copy())
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = float(a[p, q])
+                if apq == 0.0:
+                    continue
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                # hypot keeps theta**2 from overflowing for denormal apq
+                t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+    raise ArithmeticError("Jacobi sweep budget exhausted before convergence")
 
 
 def random_states(seed, n_parties):

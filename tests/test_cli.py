@@ -166,9 +166,13 @@ class TestVerifyVerb:
             ["verify", "--seed", "7", "--trials", "10", "--n-max", "3"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("trials=10")
-        assert "violations=0" in out
+        captured = capsys.readouterr()
+        assert captured.out.startswith("trials=10")
+        assert "violations=0" in captured.out
+        # the non-degenerate covariance margin is a diagnostic: stderr only
+        assert "distinct" not in captured.out
+        assert captured.err.startswith("worst_slack_covariance_distinct=")
+        assert float(captured.err.split("=")[1]) >= -1e-9
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

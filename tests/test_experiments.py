@@ -175,7 +175,8 @@ class TestVerifyBoundsRandom:
         # Swapping two block draws keeps the stream position, so only the
         # covariance draws move, and their reported worst slack is pinned at
         # 0 by draws with B_i = B_j.  The slacks of the other draws are
-        # recorded as well, so the test sees every draw's place in the order.
+        # recorded as well, so the test sees every draw's place in the order,
+        # and the report's worst over those draws must be their minimum.
         distinct = []
 
         def recording(state, first, second, other):
@@ -191,12 +192,14 @@ class TestVerifyBoundsRandom:
             "worst_slack_svetlichny": 0.426150448515708,
             "worst_slack_mk": 0.821383922151724,
             "worst_slack_covariance": 0.0,
+            "worst_slack_covariance_distinct": 0.0103353605466624,
             "worst_psd_eigen": 2.80843399258969e-06,
         }
         for name, value in pinned.items():
             assert abs(getattr(report, name) - value) < 1e-12, name
         assert len(distinct) == 514
         assert abs(min(distinct) - 0.0103353605466624) < 1e-12
+        assert report.worst_slack_covariance_distinct == min(distinct)
 
     def test_mk_slack_absent_without_odd_n_above_two(self):
         report = verify_bounds_random(3, 30, 2, 2)

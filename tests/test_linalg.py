@@ -37,7 +37,12 @@ from bellbounds.linalg import (
 from bellbounds.observables import planar_observable
 from bellbounds.rng import SplitMix64
 
-from oracles import dense_covariance_witness, ghz_planar_correlator, random_states
+from oracles import (
+    dense_covariance_witness,
+    ghz_planar_correlator,
+    numpy_jacobi_eigenvalues,
+    random_states,
+)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -228,10 +233,20 @@ class TestProductMean:
             product_mean(ghz_state(3), {party: SIGMA_X})
 
 
+def seeded_symmetric(rng, size, kind):
+    """A random symmetric, scaled Gram or diagonal matrix from the stream."""
+    if kind == "diagonal":
+        return np.diag([rng.normal() for _ in range(size)])
+    raw = np.array([rng.normal() for _ in range(size * size)]).reshape(size, size)
+    if kind == "gram":
+        return (raw @ raw.T) * 10.0 ** (6.0 * rng.uniform() - 3.0)
+    return (raw + raw.T) / 2.0
+
+
 class TestJacobi:
     def test_matches_numpy_on_random_symmetric(self):
         rng = SplitMix64(11)
-        for size in (1, 2, 3, 5, 8, 10):
+        for size in (1, 2, 3, 5, 8, 10, 12):
             for _ in range(20):
                 raw = np.array(
                     [rng.normal() for _ in range(size * size)]
@@ -240,6 +255,23 @@ class TestJacobi:
                 got = jacobi_eigenvalues(sym)
                 want = np.linalg.eigvalsh(sym)
                 assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("size", range(2, 13))
+    def test_bit_identical_to_numpy_sweep(self, size):
+        rng = SplitMix64(900 + size)
+        for kind in ("symmetric", "gram", "diagonal"):
+            for _ in range(4):
+                sym = seeded_symmetric(rng, size, kind)
+                assert np.array_equal(jacobi_eigenvalues(sym), numpy_jacobi_eigenvalues(sym))
+
+    @pytest.mark.parametrize("n_parties", range(2, 7))
+    def test_bit_identical_to_numpy_sweep_on_witnesses(self, n_parties):
+        # the 2N x 2N covariance matrices the harness hands to Jacobi
+        for family in ("planar", "bloch"):
+            observables = all_observables(random_scenario(7300 + n_parties, n_parties, family))
+            for state in random_states(7400 + n_parties, n_parties):
+                c = covariance_witness(state, observables).c
+                assert np.array_equal(jacobi_eigenvalues(c), numpy_jacobi_eigenvalues(c))
 
     def test_accepts_complex_with_tiny_imaginary(self):
         sym = np.array([[2.0, 1.0], [1.0, -1.0]]) + 1e-15j
@@ -253,6 +285,42 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN passes the symmetry gate (nan > tol is false) and would
+        # come back as a NaN eigenvalue that min() and `< -tol` both drop
+        for matrix in (
+            [[1.0, bad], [bad, 1.0]],
+            [[bad, 0.0], [0.0, 1.0]],
+            [[bad]],
+            np.array([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 1.0]]),
+        ):
+            with pytest.raises(ValueError):
+                jacobi_eigenvalues(matrix)
+
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        dense = seeded_symmetric(SplitMix64(13), 6, "symmetric")
+        with pytest.raises(ArithmeticError):
+            jacobi_eigenvalues(dense)
+
+    def test_input_untouched_and_result_is_float64_array(self):
+        sym = seeded_symmetric(SplitMix64(14), 5, "symmetric")
+        before = sym.copy()
+        got = jacobi_eigenvalues(sym)
+        assert np.array_equal(sym, before)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64 and got.shape == (5,)
+
+    def test_block_diagonal_skips_zero_pairs(self):
+        # the exact-zero off-block entries take the apq == 0.0 skip
+        rng = SplitMix64(15)
+        sym = np.zeros((7, 7))
+        sym[:3, :3] = seeded_symmetric(rng, 3, "symmetric")
+        sym[3:, 3:] = seeded_symmetric(rng, 4, "gram")
+        got = jacobi_eigenvalues(sym)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(sym))) < 1e-10
 
     def test_sorted_ascending(self):
         got = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
