@@ -29,7 +29,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _clamped(value: float, low: float, high: float, what: str) -> float:
-    if value < low - CLAMP_TOL or value > high + CLAMP_TOL:
+    if not low - CLAMP_TOL <= value <= high + CLAMP_TOL:  # also rejects NaN
         raise InvariantViolation(
             f"{what} = {value!r} lies outside [{low}, {high}] beyond tolerance"
         )

@@ -398,30 +398,25 @@ def nelder_mead(
     (best point, best value, evaluations used, converged flag).
     """
     dims = len(start)
-    points = [np.array(start, dtype=float)]
-    for axis in range(dims):
-        vertex = np.array(start, dtype=float)
-        vertex[axis] += NELDER_MEAD_STEP
-        points.append(vertex)
+    points = np.tile(np.array(start, dtype=float), (dims + 1, 1))
+    points[1:][np.diag_indices(dims)] += NELDER_MEAD_STEP
+    values = np.empty(dims + 1)
     evals = 0
-    values = []
-    for point in points:
-        values.append(objective(point))
+    for index in range(dims + 1):
+        values[index] = objective(points[index])
         evals += 1
         if evals >= max_evals:
-            best = int(np.argmin(values))
-            return points[best], values[best], evals, False
+            first = int(np.argmin(values[:evals]))
+            return points[first], float(values[first]), evals, False
     while True:
-        order = sorted(range(len(points)), key=lambda i: values[i])
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(
-            float(np.max(np.abs(point - points[0]))) for point in points[1:]
-        )
+        order = np.argsort(values, kind="stable")
+        points = points[order]
+        values = values[order]
+        diameter = float(np.max(np.abs(points[1:] - points[0])))
         if diameter < tol:
-            return points[0], values[0], evals, True
+            return points[0], float(values[0]), evals, True
         if evals >= max_evals:
-            return points[0], values[0], evals, False
+            return points[0], float(values[0]), evals, False
         centroid = np.mean(points[:-1], axis=0)
         reflected = centroid + (centroid - points[-1])
         f_reflected = objective(reflected)
@@ -448,13 +443,13 @@ def nelder_mead(
             points[-1], values[-1] = contracted, f_contracted
             continue
         best = points[0]
-        for index in range(1, len(points)):
+        for index in range(1, dims + 1):
             points[index] = best + 0.5 * (points[index] - best)
             values[index] = objective(points[index])
             evals += 1
             if evals >= max_evals:
-                order = sorted(range(len(points)), key=lambda i: values[i])
-                return points[order[0]], values[order[0]], evals, False
+                first = int(np.argmin(values))
+                return points[first], float(values[first]), evals, False
 
 
 def maximize_violation(config: OptimizerConfig) -> OptimizationResult:

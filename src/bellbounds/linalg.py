@@ -87,8 +87,8 @@ class QuantumState:
     """Pure state vector or density matrix over N qubits.
 
     Build through :meth:`pure` or :meth:`mixed`; both validate their
-    invariants (unit norm, or Hermitian/unit-trace/PSD) and freeze the
-    stored array.  ``kind`` is ``"pure"`` or ``"mixed"``.
+    invariants (finite entries, then unit norm, or Hermitian/unit-trace/PSD)
+    and freeze the stored array.  ``kind`` is ``"pure"`` or ``"mixed"``.
     """
 
     __slots__ = ("n_parties", "kind", "amplitudes", "density")
@@ -103,6 +103,8 @@ class QuantumState:
     def pure(cls, amplitudes) -> "QuantumState":
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         n = _parties_for_dim(amps.size)
+        if not np.isfinite(amps).all():
+            raise InvariantViolation("pure state has a non-finite amplitude")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > 1e-12:
             raise InvariantViolation(f"pure state has squared norm {norm_sq!r}")
@@ -113,6 +115,8 @@ class QuantumState:
     def mixed(cls, density) -> "QuantumState":
         rho = np.array(_square(density))
         n = _parties_for_dim(rho.shape[0])
+        if not np.isfinite(rho).all():
+            raise InvariantViolation("density matrix has a non-finite entry")
         defect = hermiticity_defect(rho)
         if defect > HERMITIAN_TOL:
             raise InvariantViolation(
@@ -236,10 +240,11 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
 
     The rotations run on a list of row lists of Python floats: at k <= 12
     numpy's per-element indexing and slice copies cost several times the
-    arithmetic.  Python float ``*``, ``-`` and ``+`` round exactly like
-    numpy's float64 ufuncs (no fused multiply-add), and the update order is
-    that of the numpy row/column sweep (``tests/oracles.py``), so the
-    eigenvalues are the same bit for bit.
+    arithmetic.  One pass per rotation writes each rotated entry of columns
+    p and q into its mirror slot in rows p and q, which relies on the exact
+    symmetry the prologue enforces; the 2x2 (p, q) block is derived apart.
+    With products in the numpy sweep's order (``tests/oracles.py``) and no
+    fused multiply-add, the eigenvalues are the same bit for bit.
     """
     arr = np.asarray(matrix)
     if np.iscomplexobj(arr):
@@ -270,27 +275,29 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
         if off_sq <= JACOBI_OFF_TOL * JACOBI_OFF_TOL:
             return np.sort(np.array([rows[i][i] for i in range(k)]))
         for p in range(k - 1):
+            row_p = rows[p]
             for q in range(p + 1, k):
-                apq = rows[p][q]
+                row_q = rows[q]
+                apq = row_p[q]
                 if apq == 0.0:
                     continue
-                theta = (rows[q][q] - rows[p][p]) / (2.0 * apq)
+                app = row_p[p]
+                aqq = row_q[q]
+                theta = (aqq - app) / (2.0 * apq)
                 # hypot keeps theta**2 from overflowing for denormal apq
                 t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for row in rows:  # columns p and q, rows p and q included
+                for r, row in enumerate(rows):  # the (p, q) block is redone below
                     x = row[p]
                     y = row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p = rows[p]
-                row_q = rows[q]
-                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-                rows[p][q] = rows[q][p] = 0.0
+                    row[p] = row_p[r] = c * x - s * y
+                    row[q] = row_q[r] = s * x + c * y
+                row_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                row_q[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                row_p[q] = row_q[p] = 0.0
     raise ArithmeticError("Jacobi sweep budget exhausted before convergence")
 
 

@@ -30,10 +30,13 @@ class BellPolynomial:
 
     Coefficients are exact dyadic rationals; zero coefficients are dropped
     at construction.  ``terms`` is a read-only mapping; equality compares
-    party count and terms exactly (labels are metadata).
+    party count and terms exactly (labels are metadata).  ``table`` is the
+    frozen (2,)*N float array of ``float(coeff)`` at each term's settings
+    and zeros elsewhere, which ``realize`` starts from; it is None above
+    the 12 parties that ``realize`` accepts.
     """
 
-    __slots__ = ("n_parties", "terms", "label")
+    __slots__ = ("n_parties", "terms", "label", "table")
 
     def __init__(self, n_parties: int, terms, label: str = "custom"):
         if n_parties < 1:
@@ -53,6 +56,12 @@ class BellPolynomial:
         self.n_parties = n_parties
         self.terms = MappingProxyType(clean)
         self.label = label
+        self.table = None
+        if 1 << n_parties <= DIM_CAP:
+            self.table = np.zeros((2,) * n_parties)
+            for key, value in clean.items():
+                self.table[key] = float(value)
+            self.table.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, BellPolynomial):
@@ -178,7 +187,7 @@ def relabel(polynomial: BellPolynomial) -> BellPolynomial:
 def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.ndarray:
     """Dense matrix sum of coeff * (tensor of party locals at the term's settings).
 
-    Factored one party at a time: the coefficients fill a (2,)*N table, and
+    Factored one party at a time: starting from the polynomial's ``table``,
     from party N down to 1 the trailing setting axis of each block B becomes
     A_p[0] (x) B[..., 0] + A_p[1] (x) B[..., 1].  That is about 2 * 4**N
     complex multiply-adds (8**N for a Kronecker chain per term), with a peak
@@ -196,9 +205,7 @@ def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.nda
     n = polynomial.n_parties
     if 1 << n > DIM_CAP:
         raise InvariantViolation(f"dimension {1 << n} exceeds the {DIM_CAP} cap")
-    block = np.zeros((2,) * n + (1, 1), dtype=complex)
-    for settings, coeff in polynomial.terms.items():
-        block[settings] = float(coeff)
+    block = polynomial.table.astype(complex).reshape((2,) * n + (1, 1))
     for party in range(n, 0, -1):
         shape = block.shape[: party - 1] + (2 * block.shape[-1],) * 2
         a0, a1 = (obs.local[:, None, :, None] for obs in scenario.pairs[party - 1])

@@ -104,6 +104,18 @@ class TestEta:
             eta(scenario, ghz_state(3), 4)
 
 
+class TestClamped:
+    def test_clamps_within_tolerance_and_rejects_beyond(self):
+        assert bounds._clamped(1.0 + 1e-12, 0.0, 1.0, "eta(1)") == 1.0
+        with pytest.raises(InvariantViolation):
+            bounds._clamped(1.0 + 1e-9, 0.0, 1.0, "eta(1)")
+
+    def test_rejects_nan(self):
+        # nan < low and nan > high are both false: only an in-range test catches it
+        with pytest.raises(InvariantViolation, match="nan"):
+            bounds._clamped(math.nan, 0.0, 1.0, "eta(1)")
+
+
 class TestSvetlichnyBound:
     def test_reference_values(self):
         assert abs(svetlichny_bound(3, 0.0) - 4.0 * ROOT2) < 1e-15

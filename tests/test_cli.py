@@ -72,6 +72,15 @@ class TestExitCodes:
         assert run(["bounds", "--scenario", str(path), "--operator", "mk"]) == 3
         capsys.readouterr()
 
+    def test_non_finite_state_file_is_io_error(self, tmp_path, capsys):
+        scenario = tmp_path / "pair.scenario"
+        write_scenario_file(MeasurementScenario.planar(((0.0, 1.0), (0.0, 1.0))), scenario)
+        state = tmp_path / "nan.state"
+        state.write_text("pure 2\nnan 0\n0 0\n0 0\n1 0\n", encoding="ascii")
+        argv = ["bounds", "--scenario", str(scenario), "--state", str(state)]
+        assert run([*argv, "--operator", "svetlichny-"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_bad_domain_is_value_error(self, capsys):
         assert run(["verify", "--trials", "5", "--n-min", "1"]) == 4
         capsys.readouterr()
@@ -173,6 +182,51 @@ class TestVerifyVerb:
         assert "distinct" not in captured.out
         assert captured.err.startswith("worst_slack_covariance_distinct=")
         assert float(captured.err.split("=")[1]) >= -1e-9
+
+    def test_seed_42_stdout_is_pinned(self, capsys):
+        # byte for byte, including the Jacobi PSD floor's last digits
+        argv = ["verify", "--seed", "42", "--trials", "200", "--n-min", "2", "--n-max", "5"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (
+            "trials=200\n"
+            "worst_slack_svetlichny=0.426150448515708\n"
+            "worst_slack_mk=0.821383922151724\n"
+            "worst_slack_covariance=0\n"
+            "worst_psd_eigen=2.80843399266928e-06\n"
+            "violations=0\n"
+        )
+
+
+class TestOptimizeVerb:
+    @pytest.mark.parametrize(
+        "n,pinned",
+        [
+            (
+                3,
+                [
+                    "value=5.65685424949238",
+                    "evals=3521",
+                    "angles=0.456931405849659,2.02772773561364,1.50002840711997,"
+                    "3.07082472904693,0.399234679341586,1.9700309970895",
+                ],
+            ),
+            (
+                4,
+                [
+                    "value=11.3137084989848",
+                    "evals=4663",
+                    "angles=0.273015062442374,1.8438113921523,2.00804497660691,"
+                    "3.57884129246263,0.767241903775188,2.33803820493353,"
+                    "-0.692107441019507,0.878688887025854",
+                ],
+            ),
+        ],
+    )
+    def test_search_path_is_pinned(self, capsys, n, pinned):
+        # the evaluation count and the angles pin every simplex step
+        assert run(["optimize", "--n", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.split("=")[0] in ("value", "evals", "angles")] == pinned
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -245,6 +245,25 @@ class TestNelderMead:
         assert not converged
         assert evals <= 40
 
+    @pytest.mark.parametrize(
+        "tol,max_evals,point,value,evals,converged",
+        [
+            # the budget runs out inside the initial simplex
+            (1e-300, 2, [0.5, 0.0], 1.75, 2, False),
+            # at the top of the loop
+            (1e-300, 40, [1.5026443749666214, -0.4998331107199192], 7.076275059511583e-06, 40, False),
+            # after the first of the two vertices of a shrink
+            (1e-300, 240, [1.5, -0.5], 0.0, 240, False),
+            # converged
+            (1e-12, 5000, [1.5000000000000746, -0.5000000000002249], 1.573483162190658e-25, 182, True),
+        ],
+    )
+    def test_exits_are_pinned(self, tol, max_evals, point, value, evals, converged):
+        x, fx, used, done = nelder_mead(bowl, np.zeros(2), tol=tol, max_evals=max_evals)
+        assert x.tolist() == point
+        assert type(fx) is float and fx == value
+        assert (used, done) == (evals, converged)
+
     def test_handles_one_dimension(self):
         x, fx, _, converged = nelder_mead(
             lambda v: float((v[0] - 2.0) ** 2), np.zeros(1), 1e-12, 2000

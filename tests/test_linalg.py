@@ -123,6 +123,21 @@ class TestQuantumState:
         with pytest.raises(InvariantViolation):
             QuantumState.mixed(rho)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every later gate compares against the entries, and a comparison
+        # with NaN is false, so a NaN state would pass them all
+        for amplitudes in ([bad, 0.0], [1.0, complex(0.0, bad)]):
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                QuantumState.pure(amplitudes)
+        for rho in (
+            np.diag([bad, 1.0]),
+            np.array([[1.0, bad], [bad, 0.0]]),
+            np.array([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 0.0]]),
+        ):
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                QuantumState.mixed(rho)
+
     def test_density_matrix_matches_outer_product(self):
         state = ghz_state(2)
         rho = state.density_matrix()
@@ -305,6 +320,33 @@ class TestJacobi:
         with pytest.raises(ArithmeticError):
             jacobi_eigenvalues(dense)
 
+    def test_stopping_sweep_is_pinned(self, monkeypatch):
+        # Found by a seeded search (SplitMix64(22), 5x5, scaled so that the
+        # third off-norm test lands on JACOBI_OFF_TOL**2): there np.sum of
+        # the off-diagonal squares gives 1.0000000000000002e-26, one ulp
+        # above the threshold, and math.fsum gives 1e-26, so the summation
+        # order decides whether a fourth sweep runs.
+        sym = np.array(
+            [
+                [4.474252336769091e-12, -3.516289712708191e-12, -8.510539960211804e-13,
+                 5.925026629333878e-14, 3.4816848294678954e-12],
+                [-3.516289712708191e-12, -1.7736659928936865e-12, -1.9697301165962473e-12,
+                 2.3770988895633614e-12, -1.7637708505827533e-13],
+                [-8.510539960211804e-13, -1.9697301165962473e-12, 5.328202420837143e-13,
+                 -1.0883186710276416e-12, -1.900685439710928e-12],
+                [5.925026629333878e-14, 2.3770988895633614e-12, -1.0883186710276416e-12,
+                 5.301193546397656e-12, -1.1210299989997928e-12],
+                [3.4816848294678954e-12, -1.7637708505827533e-13, -1.900685439710928e-12,
+                 -1.1210299989997928e-12, -5.024406939041388e-13],
+            ]
+        )
+        assert np.array_equal(jacobi_eigenvalues(sym), numpy_jacobi_eigenvalues(sym))
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 4)
+        jacobi_eigenvalues(sym)
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 3)
+        with pytest.raises(ArithmeticError):
+            jacobi_eigenvalues(sym)
+
     def test_input_untouched_and_result_is_float64_array(self):
         sym = seeded_symmetric(SplitMix64(14), 5, "symmetric")
         before = sym.copy()
@@ -482,6 +524,9 @@ class TestStateFiles:
             "mixed 1\n1,0 0,0\n0,0\n",
             "mixed 1\n1,0,0 0\n0,0 0,0\n",
             "mixed 1\n0.6,0 0,0\n0,0 0.6,0\n",
+            "pure 1\nnan 0\n0 0\n",
+            "pure 1\n1 0\n0 inf\n",
+            "mixed 1\nnan,0 0,0\n0,0 1,0\n",
         ],
     )
     def test_malformed_rejected(self, tmp_path, text):

@@ -138,6 +138,21 @@ class TestConstruction:
         )
         assert (1,) not in poly.terms
 
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_coefficient_table_holds_float_terms(self, n):
+        poly = dyadic_polynomial(n)
+        want = np.zeros((2,) * n)
+        for settings, coeff in poly.terms.items():
+            want[settings] = float(coeff)
+        assert poly.table.dtype == np.float64
+        assert np.array_equal(poly.table, want)
+        with pytest.raises(ValueError):
+            poly.table[(0,) * n] = 1.0
+
+    def test_no_coefficient_table_above_twelve_parties(self):
+        # realize rejects N > 12, and a (2,)*N table would grow without bound
+        assert BellPolynomial(40, {(0,) * 40: 1}).table is None
+
     def test_equality_ignores_label(self):
         a = BellPolynomial(1, {(0,): Fraction(1)}, label="first")
         b = BellPolynomial(1, {(0,): Fraction(1)}, label="second")
