@@ -87,7 +87,8 @@ class QuantumState:
     """Pure state vector or density matrix over N qubits.
 
     Build through :meth:`pure` or :meth:`mixed`; both validate their
-    invariants (finite entries, then unit norm, or Hermitian/unit-trace/PSD)
+    invariants (a 1-D vector of finite entries and unit norm, or a finite
+    Hermitian/unit-trace/PSD matrix)
     and freeze the stored array.  ``kind`` is ``"pure"`` or ``"mixed"``.
     """
 
@@ -101,7 +102,9 @@ class QuantumState:
 
     @classmethod
     def pure(cls, amplitudes) -> "QuantumState":
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            raise ValueError(f"expected a 1-D amplitude vector, got shape {amps.shape}")
         n = _parties_for_dim(amps.size)
         if not np.isfinite(amps).all():
             raise InvariantViolation("pure state has a non-finite amplitude")
@@ -412,8 +415,8 @@ def read_state_file(path) -> QuantumState:
                     raise FileFormatError(f"row {row}: bad entry {bad[0]!r}")
                 fields = line.replace(",", " ").split()
             table[row] = fields
-        build = QuantumState.pure if pure else QuantumState.mixed
-        return build(table.view(complex))
+        entries = table.view(complex)
+        return QuantumState.pure(entries[:, 0]) if pure else QuantumState.mixed(entries)
     except FileFormatError:
         raise
     except ValueError as exc:

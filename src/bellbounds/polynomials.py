@@ -11,7 +11,7 @@ N-partite recursion reproduces the standard GHZ saturation values.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -20,9 +20,6 @@ import numpy as np
 
 from .linalg import DIM_CAP, FileFormatError, InvariantViolation
 from .observables import MeasurementScenario
-from .rng import SplitMix64
-
-_PERMUTATION_SAMPLE_SEED = 0x9E3779B9  # fixed draw for the N > 6 spot check
 
 
 class BellPolynomial:
@@ -92,19 +89,19 @@ def _flip(settings: tuple) -> tuple:
     return tuple(1 - b for b in settings)
 
 
-def _weighted_sum(n_parties: int, contributions, label: str) -> BellPolynomial:
-    """Sum of (weight, polynomial, appended setting bit) products."""
+def _weighted_sum(contributions) -> dict:
+    """Term dict of the sum of (weight, term dict, appended setting bit) products."""
     total: dict = {}
-    for weight, poly, setting in contributions:
+    for weight, terms, setting in contributions:
         w = Fraction(weight)
-        for settings, coeff in poly.terms.items():
+        for settings, coeff in terms.items():
             key = settings + (setting,)
-            value = total.get(key, Fraction(0)) + w * coeff
+            value = total.get(key, 0) + w * coeff
             if value == 0:
                 total.pop(key, None)
             else:
                 total[key] = value
-    return BellPolynomial(n_parties, total, label)
+    return total
 
 
 def _require_unit_coefficients(poly: BellPolynomial, expected_count: int) -> None:
@@ -128,17 +125,16 @@ def svetlichny(n_parties: int, parity: str) -> BellPolynomial:
         raise ValueError(f"parity must be '+' or '-', got {parity!r}")
     if not 2 <= n_parties <= 12:
         raise ValueError(f"party count must be in [2, 12], got {n_parties}")
-    minus = BellPolynomial(
-        2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}, "svetlichny-"
+    minus = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
+    plus = {_flip(k): -c for k, c in minus.items()}
+    for _ in range(3, n_parties + 1):
+        plus, minus = (
+            _weighted_sum([(1, plus, 0), (-1, minus, 1)]),
+            _weighted_sum([(1, minus, 0), (1, plus, 1)]),
+        )
+    result = BellPolynomial(
+        n_parties, plus if parity == "+" else minus, f"svetlichny{parity}"
     )
-    plus = BellPolynomial(
-        2, {_flip(k): -c for k, c in minus.terms.items()}, "svetlichny+"
-    )
-    for m in range(3, n_parties + 1):
-        new_plus = _weighted_sum(m, [(1, plus, 0), (-1, minus, 1)], "svetlichny+")
-        new_minus = _weighted_sum(m, [(1, minus, 0), (1, plus, 1)], "svetlichny-")
-        plus, minus = new_plus, new_minus
-    result = plus if parity == "+" else minus
     _require_unit_coefficients(result, 1 << n_parties)
     return result
 
@@ -149,23 +145,20 @@ def mk(n_parties: int) -> BellPolynomial:
     M_N = (M_{N-1}(A0 + A1) + M'_{N-1}(A0 - A1))/2, then scaled by
     2**(N/2) for even N and 2**((N-1)/2) for odd N so every surviving
     coefficient is +/-1.  Odd N keeps 2**(N-1) terms (exact cancellation),
-    even N keeps all 2**N.
+    even N keeps all 2**N.  The recursion sums plain term dicts, priming a
+    term by flipping its settings, so only M_N becomes a BellPolynomial.
     """
     if not 1 <= n_parties <= 12:
         raise ValueError(f"party count must be in [1, 12], got {n_parties}")
-    current = BellPolynomial(1, {(0,): 1}, "mk")
+    current = {(0,): 1}
     half = Fraction(1, 2)
-    for m in range(2, n_parties + 1):
-        primed = relabel(current)
+    for _ in range(2, n_parties + 1):
+        primed = {_flip(k): c for k, c in current.items()}
         current = _weighted_sum(
-            m,
-            [(half, current, 0), (half, current, 1), (half, primed, 0), (-half, primed, 1)],
-            "mk",
+            [(half, current, 0), (half, current, 1), (half, primed, 0), (-half, primed, 1)]
         )
     scale = 1 << (n_parties // 2)
-    result = BellPolynomial(
-        n_parties, {k: c * scale for k, c in current.terms.items()}, "mk"
-    )
+    result = BellPolynomial(n_parties, {k: c * scale for k, c in current.items()}, "mk")
     expected = 1 << (n_parties - 1) if n_parties % 2 else 1 << n_parties
     _require_unit_coefficients(result, expected)
     return result
@@ -239,35 +232,21 @@ def check_equivalence_even(n_parties: int) -> EvenEquivalence:
     )
 
 
-def _random_permutation(rng: SplitMix64, n: int) -> tuple:
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):  # Fisher-Yates on the shared stream
-        j = rng.below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    return tuple(order)
-
-
 def is_permutation_invariant(polynomial: BellPolynomial) -> bool:
     """Whether the term map is unchanged under every party-slot permutation.
 
-    Exhaustive over all N! permutations for N <= 6; a fixed sample of 100
-    seeded random permutations above that.
+    The permutations carry each setting word onto exactly the words of its
+    Hamming weight, so the map is invariant when every weight class that
+    occurs holds all C(N, w) words, all with one coefficient.  Exact at
+    every N, in time linear in the term count.
     """
-    n = polynomial.n_parties
-    if n <= 6:
-        candidates = itertools.permutations(range(n))
-    else:
-        rng = SplitMix64(_PERMUTATION_SAMPLE_SEED)
-        candidates = [_random_permutation(rng, n) for _ in range(100)]
-    reference = dict(polynomial.terms)
-    for perm in candidates:
-        permuted = {
-            tuple(key[perm[i]] for i in range(n)): coeff
-            for key, coeff in reference.items()
-        }
-        if permuted != reference:
-            return False
-    return True
+    classes: dict = {}
+    for settings, coeff in polynomial.terms.items():
+        classes.setdefault(sum(settings), []).append(coeff)
+    return all(
+        len(coeffs) == math.comb(polynomial.n_parties, weight) and len(set(coeffs)) == 1
+        for weight, coeffs in classes.items()
+    )
 
 
 def dump_terms(polynomial: BellPolynomial) -> str:

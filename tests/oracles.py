@@ -18,9 +18,12 @@ operators.  ``random_states`` is the seeded pure and mixed input the
 marginal routes are checked on.  ``numpy_jacobi_eigenvalues`` is the
 library's cyclic Jacobi sweep as it ran on a numpy array, row and column
 slices at a time, kept as the bit-for-bit reference for the Python-float
-sweep in ``linalg.jacobi_eigenvalues``.
+sweep in ``linalg.jacobi_eigenvalues``.  ``enumerated_permutation_invariance``
+tries all N! party permutations, the definition that the library's
+Hamming-weight rule in ``is_permutation_invariant`` is checked against.
 """
 
+import itertools
 import math
 from functools import reduce
 
@@ -47,6 +50,16 @@ def dense_realize(polynomial, scenario) -> np.ndarray:
         return tree(items[:mid]) + tree(items[mid:])
 
     return tree(sorted(polynomial.terms.items()))
+
+
+def enumerated_permutation_invariance(polynomial) -> bool:
+    """Whether every one of the N! party permutations leaves the terms unchanged."""
+    reference = dict(polynomial.terms)
+    for perm in itertools.permutations(range(polynomial.n_parties)):
+        permuted = {tuple(key[i] for i in perm): coeff for key, coeff in reference.items()}
+        if permuted != reference:
+            return False
+    return True
 
 
 def anticommutator(a, b) -> np.ndarray:

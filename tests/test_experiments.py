@@ -189,16 +189,16 @@ class TestVerifyBoundsRandom:
         report = verify_bounds_random(42, 200, 2, 5)
         assert (report.trials, report.violations) == (200, 0)
         pinned = {
-            "worst_slack_svetlichny": 0.426150448515708,
-            "worst_slack_mk": 0.821383922151724,
+            "worst_slack_svetlichny": 0.4261504485157084,
+            "worst_slack_mk": 0.8213839221517241,
             "worst_slack_covariance": 0.0,
-            "worst_slack_covariance_distinct": 0.0103353605466624,
-            "worst_psd_eigen": 2.80843399258969e-06,
+            "worst_slack_covariance_distinct": 0.010335360546662425,
+            "worst_psd_eigen": 2.808433992669277e-06,
         }
         for name, value in pinned.items():
-            assert abs(getattr(report, name) - value) < 1e-12, name
+            assert getattr(report, name) == value, name
         assert len(distinct) == 514
-        assert abs(min(distinct) - 0.0103353605466624) < 1e-12
+        assert min(distinct) == 0.010335360546662425
         assert report.worst_slack_covariance_distinct == min(distinct)
 
     def test_mk_slack_absent_without_odd_n_above_two(self):

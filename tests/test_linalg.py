@@ -95,9 +95,19 @@ class TestQuantumState:
         with pytest.raises(InvariantViolation):
             QuantumState.pure([1.0, 1.0])
 
-    def test_pure_rejects_non_power_of_two_length(self):
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [1.0, 0.0, 0.0],
+            # the density matrix of (|0> + i|1>)/sqrt(2), whose four entries
+            # would otherwise pass as a unit-norm two-qubit vector
+            np.outer([1.0, 1j], [1.0, -1j]) / 2.0,
+        ],
+        ids=["three-entries", "one-qubit-density-matrix"],
+    )
+    def test_pure_rejects_non_power_of_two_length(self, amplitudes):
         with pytest.raises(ValueError):
-            QuantumState.pure([1.0, 0.0, 0.0])
+            QuantumState.pure(amplitudes)
 
     def test_amplitudes_are_frozen(self):
         state = ghz_state(2)

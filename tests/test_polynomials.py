@@ -23,8 +23,9 @@ from bellbounds import (
 )
 from bellbounds.experiments import random_scenario
 from bellbounds.polynomials import EvenEquivalence, is_permutation_invariant, relabel
+from bellbounds.rng import SplitMix64
 
-from oracles import dense_realize, poly_ghz_value
+from oracles import dense_realize, enumerated_permutation_invariance, poly_ghz_value
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -119,6 +120,24 @@ class TestConstruction:
     def test_unit_coefficients(self, n):
         for poly in (svetlichny(n, "+"), svetlichny(n, "-"), mk(n)):
             assert all(abs(c) == 1 for c in poly.terms.values())
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_each_builder_constructs_one_polynomial(self, n, monkeypatch):
+        # the recursions run on plain term dicts, so only the result is
+        # validated and given a coefficient table
+        built = []
+        init = BellPolynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BellPolynomial, "__init__", counting)
+        calls = [(mk, n)] + [(svetlichny, n, parity) for parity in "+-" if n >= 2]
+        for builder, *args in calls:
+            built.clear()
+            builder(*args)
+            assert len(built) == 1, (builder.__name__, args)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -296,15 +315,52 @@ class TestEvenEquivalence:
             check_equivalence_even(3)
 
 
+def family_polynomials(n):
+    return (svetlichny(n, "+"), svetlichny(n, "-"), mk(n))
+
+
 class TestPermutationInvariance:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_families_are_invariant(self, n):
-        assert is_permutation_invariant(svetlichny(n, "-"))
-        assert is_permutation_invariant(mk(n))
+        for poly in family_polynomials(n):
+            assert is_permutation_invariant(poly), poly
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_one_flipped_sign_breaks_invariance(self, n):
+        for poly in family_polynomials(n):
+            terms = dict(poly.terms)
+            # a word of weight 0 or N is its own class, so flip a mixed one
+            key = next(k for k in terms if 0 < sum(k) < n)
+            terms[key] = -terms[key]
+            assert not is_permutation_invariant(BellPolynomial(n, terms)), poly
 
     def test_detects_asymmetry(self):
         lopsided = parse_terms("+1 01\n", label="custom")
         assert not is_permutation_invariant(lopsided)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weight_rule_matches_enumeration(self, n):
+        # Weight-symmetric maps, then each with one word changed or dropped.
+        # The coefficient 0 empties a weight class, and 2 is a non-unit value.
+        rng = SplitMix64(4000 + n)
+        values = (0, 1, -1, 2, Fraction(1, 2))
+        words = list(itertools.product((0, 1), repeat=n))
+        outcomes = set()
+        for _ in range(200):
+            by_weight = [values[rng.below(len(values))] for _ in range(n + 1)]
+            symmetric = {key: by_weight[sum(key)] for key in words}
+            changed = dict(symmetric)
+            changed[words[rng.below(len(words))]] = values[rng.below(len(values))]
+            dropped = dict(symmetric)
+            del dropped[words[rng.below(len(words))]]
+            for terms in (symmetric, changed, dropped):
+                poly = BellPolynomial(n, terms)
+                want = enumerated_permutation_invariance(poly)
+                assert is_permutation_invariant(poly) == want, terms
+                outcomes.add(want)
+            assert is_permutation_invariant(BellPolynomial(n, symmetric))
+        # one party has only the identity permutation
+        assert outcomes == ({True} if n == 1 else {True, False})
 
 
 class TestTermFiles:
