@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +89,10 @@ class DichotomicObservable:
         report = validate_dichotomic(arr)
         if report is not None:
             raise InvariantViolation(f"party {party} setting {setting}: {report}")
+        try:
+            party, setting = operator.index(party), operator.index(setting)
+        except TypeError:
+            raise ValueError(f"party {party!r} and setting {setting!r} must be integers") from None
         if party < 1:
             raise ValueError(f"party index must be >= 1, got {party}")
         if setting not in (0, 1):

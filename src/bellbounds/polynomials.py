@@ -1,8 +1,9 @@
 """Exact symbolic Svetlichny and Mermin-Klyshko correlation polynomials.
 
 A polynomial maps per-party setting tuples (party 1 first) to dyadic
-rational coefficients.  The recursions cancel exactly over the rationals,
-so term counts and signs are structural facts, not numerical ones.
+rational coefficients.  Both families are +/-1 polynomials whose
+coefficient depends only on the Hamming weight w of a setting word,
+through w mod 4, so each builder reads a four-entry integer table.
 
 Sign convention: S2- = A0 A0 + A0 A1 + A1 A0 - A1 A1 and S2+ = -(S2-)'
 where ' flips every setting label.  This is the convention under which the
@@ -11,6 +12,7 @@ N-partite recursion reproduces the standard GHZ saturation values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +42,13 @@ class BellPolynomial:
             raise ValueError(f"party count must be >= 1, got {n_parties}")
         clean = {}
         for settings, coeff in dict(terms).items():
-            key = tuple(int(b) for b in settings)
-            if len(key) != n_parties or any(b not in (0, 1) for b in key):
+            if len(settings) != n_parties or any(b not in (0, 1) for b in settings):
                 raise ValueError(f"bad settings tuple {settings!r} for {n_parties} parties")
-            value = Fraction(coeff)
+            key = tuple(int(b) for b in settings)
+            try:
+                value = Fraction(coeff)
+            except (OverflowError, ValueError) as exc:
+                raise ValueError(f"coefficient {coeff!r} at {settings!r} is not finite") from exc
             if value == 0:
                 continue
             denominator = value.denominator
@@ -89,79 +94,45 @@ def _flip(settings: tuple) -> tuple:
     return tuple(1 - b for b in settings)
 
 
-def _weighted_sum(contributions) -> dict:
-    """Term dict of the sum of (weight, term dict, appended setting bit) products."""
-    total: dict = {}
-    for weight, terms, setting in contributions:
-        w = Fraction(weight)
-        for settings, coeff in terms.items():
-            key = settings + (setting,)
-            value = total.get(key, 0) + w * coeff
-            if value == 0:
-                total.pop(key, None)
-            else:
-                total[key] = value
-    return total
+def _weight_polynomial(n_parties: int, by_weight, label: str) -> BellPolynomial:
+    """Coefficient ``by_weight[w % 4]`` at each setting word of weight w, sorted."""
+    words = itertools.product((0, 1), repeat=n_parties)
+    return BellPolynomial(n_parties, {w: by_weight[sum(w) % 4] for w in words}, label)
 
 
-def _require_unit_coefficients(poly: BellPolynomial, expected_count: int) -> None:
-    if len(poly.terms) != expected_count:
-        raise InvariantViolation(
-            f"{poly.label}({poly.n_parties}) built {len(poly.terms)} terms, "
-            f"expected {expected_count}"
-        )
-    if any(abs(c) != 1 for c in poly.terms.values()):
-        raise InvariantViolation(
-            f"{poly.label}({poly.n_parties}) has a coefficient outside +/-1"
-        )
+_SVETLICHNY_SIGNS = {"-": (1, 1, -1, -1), "+": (1, -1, -1, 1)}
 
 
 def svetlichny(n_parties: int, parity: str) -> BellPolynomial:
-    """S_N^+ or S_N^- via S_N^{+/-} = S_{N-1}^{+/-} A0 -/+ S_{N-1}^{-/+} A1.
+    """S_N^- or S_N^+: sign (+, +, -, -) or (+, -, -, +) at weight w mod 4.
 
-    2**N terms, all coefficients +/-1.
+    The closed form of S_N^{+/-} = S_{N-1}^{+/-} A0 -/+ S_{N-1}^{-/+} A1:
+    appending A0 keeps a word's weight and appending A1 raises it by one,
+    which carries each sign pattern onto itself.  2**N terms, all +/-1.
     """
     if parity not in ("+", "-"):
         raise ValueError(f"parity must be '+' or '-', got {parity!r}")
     if not 2 <= n_parties <= 12:
         raise ValueError(f"party count must be in [2, 12], got {n_parties}")
-    minus = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
-    plus = {_flip(k): -c for k, c in minus.items()}
-    for _ in range(3, n_parties + 1):
-        plus, minus = (
-            _weighted_sum([(1, plus, 0), (-1, minus, 1)]),
-            _weighted_sum([(1, minus, 0), (1, plus, 1)]),
-        )
-    result = BellPolynomial(
-        n_parties, plus if parity == "+" else minus, f"svetlichny{parity}"
-    )
-    _require_unit_coefficients(result, 1 << n_parties)
-    return result
+    return _weight_polynomial(n_parties, _SVETLICHNY_SIGNS[parity], f"svetlichny{parity}")
 
 
 def mk(n_parties: int) -> BellPolynomial:
-    """M_N from M_1 = A0 and the halved two-term recursion, normalized.
+    """M_N: coefficient Re((1 - i)**(N-1) * i**w) / 2**((N-1)//2) at weight w.
 
-    M_N = (M_{N-1}(A0 + A1) + M'_{N-1}(A0 - A1))/2, then scaled by
-    2**(N/2) for even N and 2**((N-1)/2) for odd N so every surviving
-    coefficient is +/-1.  Odd N keeps 2**(N-1) terms (exact cancellation),
-    even N keeps all 2**N.  The recursion sums plain term dicts, priming a
-    term by flipping its settings, so only M_N becomes a BellPolynomial.
+    The closed form of M_1 = A0, M_N = (M_{N-1}(A0 + A1) + M'_{N-1}(A0 - A1))/2
+    rescaled to +/-1, the real part of (1 - i)**(N-1) prod_k (A0 + i A1)_k.
+    With z = re + i im = (1 - i)**(N-1) exact in ints, Re(z i**w) cycles
+    through (re, -im, -re, im).  Odd N keeps 2**(N-1) terms (the zero
+    coefficients are dropped), even N keeps all 2**N.
     """
     if not 1 <= n_parties <= 12:
         raise ValueError(f"party count must be in [1, 12], got {n_parties}")
-    current = {(0,): 1}
-    half = Fraction(1, 2)
-    for _ in range(2, n_parties + 1):
-        primed = {_flip(k): c for k, c in current.items()}
-        current = _weighted_sum(
-            [(half, current, 0), (half, current, 1), (half, primed, 0), (-half, primed, 1)]
-        )
-    scale = 1 << (n_parties // 2)
-    result = BellPolynomial(n_parties, {k: c * scale for k, c in current.items()}, "mk")
-    expected = 1 << (n_parties - 1) if n_parties % 2 else 1 << n_parties
-    _require_unit_coefficients(result, expected)
-    return result
+    re, im = 1, 0
+    for _ in range(n_parties - 1):
+        re, im = re + im, im - re
+    scale = 1 << ((n_parties - 1) // 2)
+    return _weight_polynomial(n_parties, [c // scale for c in (re, -im, -re, im)], "mk")
 
 
 _RELABELED = {"mk": "mk-primed", "mk-primed": "mk"}

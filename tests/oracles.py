@@ -21,10 +21,15 @@ slices at a time, kept as the bit-for-bit reference for the Python-float
 sweep in ``linalg.jacobi_eigenvalues``.  ``enumerated_permutation_invariance``
 tries all N! party permutations, the definition that the library's
 Hamming-weight rule in ``is_permutation_invariant`` is checked against.
+``recursive_svetlichny`` and ``recursive_mk`` run the paper's recursions
+on exact ``Fraction`` term dicts, the definitions that the library's
+Hamming-weight closed forms in ``svetlichny`` and ``mk`` are checked
+against.
 """
 
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -60,6 +65,47 @@ def enumerated_permutation_invariance(polynomial) -> bool:
         if permuted != reference:
             return False
     return True
+
+
+def _flip(settings) -> tuple:
+    return tuple(1 - b for b in settings)
+
+
+def _append_setting(contributions) -> dict:
+    """Term dict of the sum of weight * terms * A_setting on a new last party."""
+    total = {}
+    for weight, terms, setting in contributions:
+        for settings, coeff in terms.items():
+            key = settings + (setting,)
+            total[key] = total.get(key, 0) + Fraction(weight) * coeff
+    return {key: coeff for key, coeff in total.items() if coeff != 0}
+
+
+def recursive_svetlichny(n_parties: int, parity: str) -> dict:
+    """S_N^{+/-} = S_{N-1}^{+/-} A0 -/+ S_{N-1}^{-/+} A1 from
+    S_2^- = A0 A0 + A0 A1 + A1 A0 - A1 A1 and S_2^+ = -(S_2^-)', where '
+    flips every setting."""
+    minus = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(-1)}
+    plus = {_flip(k): -c for k, c in minus.items()}
+    for _ in range(3, n_parties + 1):
+        plus, minus = (
+            _append_setting([(1, plus, 0), (-1, minus, 1)]),
+            _append_setting([(1, minus, 0), (1, plus, 1)]),
+        )
+    return plus if parity == "+" else minus
+
+
+def recursive_mk(n_parties: int) -> dict:
+    """M_1 = A0 and M_N = (M_{N-1}(A0 + A1) + M'_{N-1}(A0 - A1))/2, times
+    2**(N//2) so every surviving coefficient is +/-1."""
+    current = {(0,): Fraction(1)}
+    half = Fraction(1, 2)
+    for _ in range(2, n_parties + 1):
+        primed = {_flip(k): c for k, c in current.items()}
+        current = _append_setting(
+            [(half, current, 0), (half, current, 1), (half, primed, 0), (-half, primed, 1)]
+        )
+    return {k: c * (1 << (n_parties // 2)) for k, c in current.items()}
 
 
 def anticommutator(a, b) -> np.ndarray:

@@ -145,14 +145,17 @@ def test_criterion_04_third_sweep_zero_and_formula():
 def test_criterion_05_structural_suite():
     expected_signs = {2: +1, 4: -1, 6: -1, 8: +1, 10: +1}
     expected_parity = {2: "-", 4: "+", 6: "-", 8: "+", 10: "-"}
-    for n in range(2, 11):
+    for n in range(2, 13):
         for parity in ("+", "-"):
             if len(svetlichny(n, parity).terms) != 2**n:
                 fail(5, f"svetlichny({n},{parity}) term count wrong")
         want_mk = 2 ** (n - 1) if n % 2 else 2**n
         if len(mk(n).terms) != want_mk:
             fail(5, f"mk({n}) term count wrong")
-        if n % 2 == 0:
+        for family in (svetlichny(n, "+"), svetlichny(n, "-"), mk(n)):
+            if not is_permutation_invariant(family):
+                fail(5, f"{family.label}({n}) not permutation invariant")
+        if n % 2 == 0 and n <= 10:
             result = check_equivalence_even(n)
             if result.sign != expected_signs[n] or result.parity != expected_parity[n]:
                 fail(
@@ -160,15 +163,11 @@ def test_criterion_05_structural_suite():
                     f"n={n}: got ({result.parity},{result.sign:+d}), "
                     f"expected ({expected_parity[n]},{expected_signs[n]:+d})",
                 )
-    for n in range(2, 7):
-        for family in (svetlichny(n, "+"), svetlichny(n, "-"), mk(n)):
-            if not is_permutation_invariant(family):
-                fail(5, f"{family.label} not permutation invariant")
     record(
         5,
-        "term counts exact for N<=10; even equivalences (+,-1)@4 and "
-        "(-,-1)@6 with the alternating sign pattern through N=10; "
-        "permutation invariance exhaustive for N<=6",
+        "term counts exact and permutation invariance (exact Hamming-weight "
+        "rule) for N<=12; even equivalences (+,-1)@4 and (-,-1)@6 with the "
+        "alternating sign pattern through N=10",
     )
 
 

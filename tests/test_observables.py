@@ -142,10 +142,17 @@ class TestDichotomicObservable:
             DichotomicObservable(np.kron(SIGMA_X, SIGMA_Z), 1, 0)
 
     def test_rejects_bad_party_and_setting(self):
-        with pytest.raises(ValueError):
-            DichotomicObservable(SIGMA_X, 0, 0)
-        with pytest.raises(ValueError):
-            DichotomicObservable(SIGMA_X, 1, 2)
+        # a float party would pass a bare range check and fail later, in
+        # product_mean's bit shift
+        bad = [(0, 0), (1, 2), (1.5, 0), (1.0, 0), ("1", 0), (1, 0.5), (1, "0"), (1, None)]
+        for party, setting in bad:
+            with pytest.raises(ValueError):
+                DichotomicObservable(SIGMA_X, party, setting)
+
+    def test_numpy_integers_are_stored_as_plain_ints(self):
+        obs = DichotomicObservable(SIGMA_X, np.int64(2), np.uint8(1))
+        assert (obs.party, obs.setting) == (2, 1)
+        assert type(obs.party) is int and type(obs.setting) is int
 
     def test_embedded_matches_kron_chain(self):
         obs = DichotomicObservable(SIGMA_Y, 2, 0)

@@ -99,3 +99,34 @@ def test_no_unread_private_names():
                 if name.startswith("_") and not name.startswith("__") and name not in read
             ]
     assert not unread
+
+
+def test_every_oracle_has_a_caller():
+    """Every top-level function in ``tests/oracles.py`` is read by a test or
+    benchmark module, or by another oracle, so a reference goes when the
+    check that uses it does.  A read is a loaded plain name or an attribute
+    (the benchmarks load the oracles as a module)."""
+
+    def reads(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)
+        }
+
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    functions = [node for node in oracles.body if isinstance(node, ast.FunctionDef)]
+    assert functions
+    read = set()
+    for path in [*ROOT.glob("tests/*.py"), *ROOT.glob("benchmarks/*.py")]:
+        if path.name != "oracles.py":
+            read |= reads(ast.parse(path.read_text(encoding="utf-8")))
+    inside = {f.name: reads(f) for f in functions}
+    uncalled = [
+        name
+        for name in inside
+        # a call from inside the function itself does not count
+        if name not in read.union(*(r for other, r in inside.items() if other != name))
+    ]
+    assert not uncalled

@@ -25,7 +25,13 @@ from bellbounds.experiments import random_scenario
 from bellbounds.polynomials import EvenEquivalence, is_permutation_invariant, relabel
 from bellbounds.rng import SplitMix64
 
-from oracles import dense_realize, enumerated_permutation_invariance, poly_ghz_value
+from oracles import (
+    dense_realize,
+    enumerated_permutation_invariance,
+    poly_ghz_value,
+    recursive_mk,
+    recursive_svetlichny,
+)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -123,8 +129,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_each_builder_constructs_one_polynomial(self, n, monkeypatch):
-        # the recursions run on plain term dicts, so only the result is
-        # validated and given a coefficient table
+        # each builder fills one term dict from its weight table, so only
+        # the result is validated and given a coefficient table
         built = []
         init = BellPolynomial.__init__
 
@@ -139,13 +145,39 @@ class TestConstruction:
             builder(*args)
             assert len(built) == 1, (builder.__name__, args)
 
-    def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            svetlichny(1, "-")
-        with pytest.raises(ValueError):
-            svetlichny(3, "x")
-        with pytest.raises(ValueError):
-            mk(0)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_builders_match_the_recursions(self, n):
+        cases = [(mk(n), "mk", recursive_mk(n))]
+        if n >= 2:
+            cases += [
+                (svetlichny(n, p), f"svetlichny{p}", recursive_svetlichny(n, p))
+                for p in "+-"
+            ]
+        for poly, label, terms in cases:
+            assert dict(poly.terms) == terms, label
+            assert all(type(c) is Fraction for c in poly.terms.values())
+            assert poly.label == label
+            want = np.zeros((2,) * n)
+            for settings, coeff in terms.items():
+                want[settings] = float(coeff)
+            assert poly.table.tobytes() == want.tobytes(), label
+
+    @pytest.mark.parametrize(
+        ("build", "match"),
+        [
+            (lambda: svetlichny(1, "-"), "party count"),
+            (lambda: svetlichny(3, "x"), "parity"),
+            (lambda: mk(0), "party count"),
+            # 0.7 would truncate to the valid key (0, 1) and merge two terms
+            (lambda: BellPolynomial(2, {(0.7, 1): 1, (0, 1): 1}), r"\(0\.7, 1\)"),
+            (lambda: BellPolynomial(1, {(0,): float("inf")}), r"inf.*\(0,\)"),
+            (lambda: BellPolynomial(1, {(1,): float("nan")}), r"nan.*\(1,\)"),
+        ],
+        ids=["svetlichny-n1", "parity", "mk-n0", "fractional-setting", "inf", "nan"],
+    )
+    def test_validation_errors(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_rejects_non_dyadic_coefficient(self):
         with pytest.raises(ValueError):
