@@ -45,6 +45,7 @@ from .polynomials import (
     BellPolynomial,
     check_equivalence_even,
     dump_terms,
+    is_permutation_invariant,
     mk,
     parse_terms,
     realize,
@@ -74,6 +75,7 @@ __all__ = [
     "expectation",
     "figure_sweep",
     "ghz_state",
+    "is_permutation_invariant",
     "maximize_violation",
     "mk",
     "mk_bound_classical_pair",

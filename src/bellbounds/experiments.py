@@ -171,13 +171,6 @@ def _random_scenario_from(rng: SplitMix64, n_parties: int, family: str) -> Measu
     return MeasurementScenario.bloch(directions)
 
 
-def random_scenario(seed: int, n_parties: int, family: str = "planar") -> MeasurementScenario:
-    """Fresh scenario from a fresh SplitMix64(seed) stream."""
-    if n_parties < 1:
-        raise ValueError(f"party count must be >= 1, got {n_parties}")
-    return _random_scenario_from(SplitMix64(seed), n_parties, family)
-
-
 def _haar_pure(rng: SplitMix64, n_parties: int) -> QuantumState:
     """Haar-random pure state: per amplitude, a real then an imaginary normal."""
     dim = 1 << n_parties

@@ -51,26 +51,19 @@ def hermiticity_defect(matrix) -> float:
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices, capped at dimension 2**12."""
-    left = _square(a)
-    right = _square(b)
-    dim = left.shape[0] * right.shape[0]
-    if dim > DIM_CAP:
-        raise InvariantViolation(
-            f"tensor product dimension {dim} exceeds the {DIM_CAP} cap"
-        )
-    return np.kron(left, right)
-
-
 def kron_chain(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a nonempty sequence of matrices."""
-    mats = list(factors)
+    """Left-to-right Kronecker product of a nonempty sequence of square
+    matrices, rejected before any product is built when its dimension
+    exceeds 2**12."""
+    mats = [_square(mat) for mat in factors]
     if not mats:
         raise ValueError("empty factor list")
-    out = _square(mats[0])
+    dim = math.prod(mat.shape[0] for mat in mats)
+    if dim > DIM_CAP:
+        raise InvariantViolation(f"tensor product dimension {dim} exceeds the {DIM_CAP} cap")
+    out = mats[0]
     for mat in mats[1:]:
-        out = tensor_product(out, mat)
+        out = np.kron(out, mat)
     return out
 
 
@@ -374,6 +367,18 @@ def write_state_file(state: QuantumState, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _data_lines(path, kind: str) -> list[str]:
+    """The stripped nonblank lines of an input file, which must be ASCII."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{kind} file is not ASCII: {exc}") from exc
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise FileFormatError(f"empty {kind} file")
+    return lines
+
+
 def read_state_file(path) -> QuantumState:
     """Parse the plain-text state format.
 
@@ -382,10 +387,7 @@ def read_state_file(path) -> QuantumState:
     ``re,im`` entries separated by whitespace.  Rejects anything violating
     the state invariants.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FileFormatError("empty state file")
+    lines = _data_lines(path, "state")
     head = lines[0].split()
     if len(head) != 2 or head[0] not in ("pure", "mixed"):
         raise FileFormatError(f"bad state header {lines[0]!r}")

@@ -21,6 +21,7 @@ from .linalg import (
     SIGMA_Z,
     FileFormatError,
     InvariantViolation,
+    _data_lines,
     _square,
 )
 
@@ -197,18 +198,6 @@ class MeasurementScenario:
             )
         return cls(observables)
 
-    def with_swapped_settings(self) -> "MeasurementScenario":
-        """Same local operators with the setting labels 0 and 1 exchanged."""
-        observables = [
-            (
-                DichotomicObservable(pair[1].local, party, 0),
-                DichotomicObservable(pair[0].local, party, 1),
-            )
-            for party, pair in enumerate(self.pairs, start=1)
-        ]
-        angles = None if self.angles is None else [(t1, t0) for t0, t1 in self.angles]
-        return type(self)(observables, angles=angles)
-
     def __repr__(self):
         family = "planar" if self.angles is not None else "general"
         return f"MeasurementScenario(n_parties={self.n_parties}, family={family!r})"
@@ -247,10 +236,7 @@ def read_scenario_file(path) -> MeasurementScenario:
     then N lines follow: two angles (radians) for planar, or six reals
     (direction for setting 0, then setting 1) for bloch.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FileFormatError("empty scenario file")
+    lines = _data_lines(path, "scenario")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "parties" or head[2] != "family":
         raise FileFormatError(f"bad scenario header {lines[0]!r}")

@@ -90,10 +90,6 @@ class BellPolynomial:
         return self.scaled(-1)
 
 
-def _flip(settings: tuple) -> tuple:
-    return tuple(1 - b for b in settings)
-
-
 def _weight_polynomial(n_parties: int, by_weight, label: str) -> BellPolynomial:
     """Coefficient ``by_weight[w % 4]`` at each setting word of weight w, sorted."""
     words = itertools.product((0, 1), repeat=n_parties)
@@ -135,19 +131,6 @@ def mk(n_parties: int) -> BellPolynomial:
     return _weight_polynomial(n_parties, [c // scale for c in (re, -im, -re, im)], "mk")
 
 
-_RELABELED = {"mk": "mk-primed", "mk-primed": "mk"}
-
-
-def relabel(polynomial: BellPolynomial) -> BellPolynomial:
-    """Flip every setting label 0 <-> 1 (the prime operation); an involution."""
-    label = _RELABELED.get(polynomial.label, "custom")
-    return BellPolynomial(
-        polynomial.n_parties,
-        {_flip(k): c for k, c in polynomial.terms.items()},
-        label,
-    )
-
-
 def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.ndarray:
     """Dense matrix sum of coeff * (tensor of party locals at the term's settings).
 
@@ -158,8 +141,9 @@ def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.nda
     of about 2.5 matrices of 2**N x 2**N (670 MB at N = 12).
 
     Each setting sum is one elementwise two-term add and x + y == y + x in
-    IEEE arithmetic, so a relabeled polynomial on a setting-swapped scenario
-    gives the identical matrix, and Hermitian locals an exactly Hermitian one.
+    IEEE arithmetic, so a polynomial with every setting flipped on a
+    setting-swapped scenario gives the identical matrix, and Hermitian
+    locals an exactly Hermitian one.
     """
     if polynomial.n_parties != scenario.n_parties:
         raise ValueError(
@@ -222,6 +206,8 @@ def is_permutation_invariant(polynomial: BellPolynomial) -> bool:
 
 def dump_terms(polynomial: BellPolynomial) -> str:
     """One ``+1 bits`` / ``-1 bits`` line per term, sorted by bitstring."""
+    if not polynomial.terms:
+        raise ValueError("dump format needs at least one term")
     lines = []
     for settings in sorted(polynomial.terms):
         coeff = polynomial.terms[settings]

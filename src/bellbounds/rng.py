@@ -62,6 +62,3 @@ class SplitMix64:
         a = 2.0 * math.pi * u2
         self._spare = r * math.sin(a)
         return r * math.cos(a)
-
-    def normals(self, count: int) -> list[float]:
-        return [self.normal() for _ in range(count)]

@@ -15,12 +15,14 @@ factored ``realize``; ``dense_covariance_inequality`` and
 ``dense_covariance_witness`` are the same for the two-block covariance
 inequality and the harness's covariance matrix, on full 2**N x 2**N
 operators.  ``random_states`` is the seeded pure and mixed input the
-marginal routes are checked on.  ``numpy_jacobi_eigenvalues`` is the
-library's cyclic Jacobi sweep as it ran on a numpy array, row and column
-slices at a time, kept as the bit-for-bit reference for the Python-float
-sweep in ``linalg.jacobi_eigenvalues``.  ``enumerated_permutation_invariance``
-tries all N! party permutations, the definition that the library's
-Hamming-weight rule in ``is_permutation_invariant`` is checked against.
+marginal routes are checked on, and ``random_scenario`` the seeded planar
+or Bloch scenario, drawn as the harness draws it.
+``numpy_jacobi_eigenvalues`` is the library's cyclic Jacobi sweep as it ran
+on a numpy array, row and column slices at a time, kept as the bit-for-bit
+reference for the Python-float sweep in ``linalg.jacobi_eigenvalues``.
+``enumerated_permutation_invariance`` tries all N! party permutations, the
+definition that the library's Hamming-weight rule in
+``is_permutation_invariant`` is checked against.
 ``recursive_svetlichny`` and ``recursive_mk`` run the paper's recursions
 on exact ``Fraction`` term dicts, the definitions that the library's
 Hamming-weight closed forms in ``svetlichny`` and ``mk`` are checked
@@ -210,6 +212,15 @@ def random_states(seed, n_parties):
     rho = weight * np.outer(vecs[0], vecs[0].conj())
     rho += (1.0 - weight) * np.outer(vecs[1], vecs[1].conj())
     return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
+
+
+def random_scenario(seed, n_parties, family="planar"):
+    """The harness's scenario draw ("planar" or "bloch") from a fresh
+    SplitMix64(seed) stream."""
+    from bellbounds.experiments import _random_scenario_from
+    from bellbounds.rng import SplitMix64
+
+    return _random_scenario_from(SplitMix64(seed), n_parties, family)
 
 
 def ghz_planar_correlator(thetas) -> float:

@@ -28,7 +28,6 @@ from bellbounds import (
     svetlichny,
     svetlichny_bound,
 )
-from bellbounds.experiments import random_scenario
 from bellbounds.linalg import SIGMA_X, SIGMA_Y, reduced_state
 from bellbounds.observables import embed_local, planar_observable
 from bellbounds.rng import SplitMix64
@@ -41,6 +40,7 @@ from oracles import (
     fig1_party1_eta,
     fig3_pair12_bound,
     ghz_planar_correlator,
+    random_scenario,
     random_states,
 )
 

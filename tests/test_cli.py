@@ -81,6 +81,21 @@ class TestExitCodes:
         assert run([*argv, "--operator", "svetlichny-"]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_ascii_scenario_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.scenario"
+        path.write_bytes(b"parties 1 family planar\n0.0 1.0\xff\n")
+        assert run(["bounds", "--scenario", str(path), "--operator", "mk"]) == 3
+        assert "not ASCII" in capsys.readouterr().err
+
+    def test_non_ascii_state_file_is_io_error(self, tmp_path, capsys):
+        scenario = tmp_path / "pair.scenario"
+        write_scenario_file(MeasurementScenario.planar(((0.0, 1.0), (0.0, 1.0))), scenario)
+        state = tmp_path / "latin.state"
+        state.write_bytes(b"pure 2\n1 0\n0 0\n0 0\n0 0\xff\n")
+        argv = ["bounds", "--scenario", str(scenario), "--state", str(state)]
+        assert run([*argv, "--operator", "svetlichny-"]) == 3
+        assert "not ASCII" in capsys.readouterr().err
+
     def test_bad_domain_is_value_error(self, capsys):
         assert run(["verify", "--trials", "5", "--n-min", "1"]) == 4
         capsys.readouterr()

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import time
@@ -19,7 +18,6 @@ from bellbounds import (
     write_state_file,
 )
 from bellbounds import linalg
-from bellbounds.experiments import random_scenario
 from bellbounds.linalg import (
     DIM_CAP,
     ID2,
@@ -32,7 +30,6 @@ from bellbounds.linalg import (
     product_mean,
     read_state_file,
     reduced_state,
-    tensor_product,
 )
 from bellbounds.observables import planar_observable
 from bellbounds.rng import SplitMix64
@@ -41,6 +38,7 @@ from oracles import (
     dense_covariance_witness,
     ghz_planar_correlator,
     numpy_jacobi_eigenvalues,
+    random_scenario,
     random_states,
 )
 
@@ -55,7 +53,7 @@ def random_complex(rng, shape):
 
 class TestTensorProduct:
     def test_pauli_block_structure(self):
-        got = tensor_product(SIGMA_Z, SIGMA_X)
+        got = kron_chain((SIGMA_Z, SIGMA_X))
         want = np.block(
             [[SIGMA_X, np.zeros((2, 2))], [np.zeros((2, 2)), -SIGMA_X]]
         )
@@ -65,23 +63,31 @@ class TestTensorProduct:
         rng = SplitMix64(3)
         for _ in range(10):
             a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
-            lhs = tensor_product(a, b) @ tensor_product(c, d)
-            rhs = tensor_product(a @ c, b @ d)
+            lhs = kron_chain((a, b)) @ kron_chain((c, d))
+            rhs = kron_chain((a @ c, b @ d))
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_associative(self):
         rng = SplitMix64(4)
         a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-        lhs = tensor_product(tensor_product(a, b), c)
-        rhs = tensor_product(a, tensor_product(b, c))
+        lhs = kron_chain((kron_chain((a, b)), c))
+        rhs = kron_chain((a, kron_chain((b, c))))
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
     def test_dimension_cap(self):
         big = np.eye(DIM_CAP // 2, dtype=complex)
         with pytest.raises(InvariantViolation):
-            tensor_product(big, np.eye(4, dtype=complex))
-        capped = tensor_product(big, np.eye(2, dtype=complex))
+            kron_chain((big, np.eye(4, dtype=complex)))
+        capped = kron_chain((big, np.eye(2, dtype=complex)))
         assert capped.shape == (DIM_CAP, DIM_CAP)
+
+    def test_over_cap_chain_fails_before_any_product(self, monkeypatch):
+        def kron(*_):
+            raise AssertionError("a product of an over-cap chain was built")
+
+        monkeypatch.setattr(np, "kron", kron)
+        with pytest.raises(InvariantViolation, match="cap"):
+            kron_chain([SIGMA_X] * 13)
 
 
 class TestQuantumState:
@@ -176,7 +182,7 @@ class TestExpectation:
     def test_pure_and_mixed_agree(self):
         state = ghz_state(2)
         rho = QuantumState.mixed(state.density_matrix())
-        obs = tensor_product(SIGMA_X, SIGMA_X)
+        obs = kron_chain((SIGMA_X, SIGMA_X))
         assert abs(expectation(state, obs) - expectation(rho, obs)) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -191,9 +197,7 @@ class TestExpectation:
     @given(st.lists(angles, min_size=2, max_size=5))
     def test_ghz_product_correlator(self, thetas):
         state = ghz_state(len(thetas))
-        product = functools.reduce(
-            tensor_product, (planar_observable(t) for t in thetas)
-        )
+        product = kron_chain(planar_observable(t) for t in thetas)
         got = expectation(state, product)
         assert abs(got - ghz_planar_correlator(thetas)) < 1e-12
 
@@ -216,7 +220,7 @@ class TestReducedState:
         state = self.random_pure(11, 3)
         a = planar_observable(0.4)
         b = planar_observable(-1.1)
-        local = expectation(reduced_state(state, (3, 1)), tensor_product(a, b))
+        local = expectation(reduced_state(state, (3, 1)), kron_chain((a, b)))
         full = expectation(state, kron_chain((b, ID2, a)))
         assert abs(local - full) < 1e-14
 

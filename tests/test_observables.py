@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 
@@ -12,7 +11,7 @@ from bellbounds import (
     MeasurementScenario,
     write_scenario_file,
 )
-from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
+from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron_chain
 from bellbounds.observables import (
     bloch_observable,
     embed_local,
@@ -156,7 +155,7 @@ class TestDichotomicObservable:
 
     def test_embedded_matches_kron_chain(self):
         obs = DichotomicObservable(SIGMA_Y, 2, 0)
-        want = functools.reduce(tensor_product, (ID2, SIGMA_Y, ID2))
+        want = kron_chain((ID2, SIGMA_Y, ID2))
         assert np.array_equal(embed_local(obs.local, obs.party, 3), want)
 
     def test_embedded_is_frozen(self):
@@ -233,19 +232,6 @@ class TestMeasurementScenario:
         )
         with pytest.raises(ValueError):
             MeasurementScenario(wrong)
-
-    def test_swapped_settings_exchanges_observables(self):
-        scenario = MeasurementScenario.planar(((0.1, 0.9), (0.0, -0.5)))
-        swapped = scenario.with_swapped_settings()
-        for party in (1, 2):
-            assert np.array_equal(
-                swapped.observable(party, 0).local,
-                scenario.observable(party, 1).local,
-            )
-            assert np.array_equal(
-                swapped.observable(party, 1).local,
-                scenario.observable(party, 0).local,
-            )
 
 
 class TestScenarioFiles:

@@ -66,22 +66,31 @@ def test_no_unused_imports():
     assert not unused
 
 
-def test_no_unread_private_names():
-    """Every module-level private function, class or constant in
-    ``src/bellbounds/`` is read somewhere in ``src/``, so a helper goes when
-    its last caller does.  A read is a loaded plain name or an attribute."""
+def _reads(tree) -> set:
+    """Names a syntax tree reads: every loaded plain name and every attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def _source_trees() -> dict:
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(ROOT.glob("src/bellbounds/*.py"))
     }
     assert trees
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    return trees
+
+
+def test_no_unread_private_names():
+    """Every module-level private function, class or constant in
+    ``src/bellbounds/`` is read somewhere in ``src/``, so a helper goes when
+    its last caller does."""
+    trees = _source_trees()
+    read = set().union(*map(_reads, trees.values()))
     unread = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -101,28 +110,58 @@ def test_no_unread_private_names():
     assert not unread
 
 
+def test_every_public_name_has_a_caller():
+    """Every public module-level function or class in ``src/bellbounds/``,
+    and every public method, is read in ``src/``, read in a benchmark module
+    (whose span table names its targets as dotted strings), or exported in
+    ``bellbounds.__all__``.  So library surface that only tests reach goes."""
+    trees = _source_trees()
+    read = set().union(*map(_reads, trees.values()))
+    for path in ROOT.glob("benchmarks/*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _reads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTS") for t in node.targets
+            ):
+                read |= {
+                    part for _, attribute, _ in ast.literal_eval(node.value)
+                    for part in attribute.split(".")
+                }
+    read |= set(bellbounds.__all__)
+
+    def public(body):
+        return [
+            node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+
+    unread = []
+    for path, tree in trees.items():
+        for node in public(tree.body):
+            members = public(node.body) if isinstance(node, ast.ClassDef) else []
+            unread += [
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in [node.name, *(f"{node.name}.{m.name}" for m in members)]
+                if name.rpartition(".")[2] not in read
+            ]
+    assert not unread
+
+
 def test_every_oracle_has_a_caller():
     """Every top-level function in ``tests/oracles.py`` is read by a test or
     benchmark module, or by another oracle, so a reference goes when the
-    check that uses it does.  A read is a loaded plain name or an attribute
-    (the benchmarks load the oracles as a module)."""
-
-    def reads(node):
-        return {
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-            or isinstance(n, ast.Attribute)
-        }
-
+    check that uses it does.  The benchmarks load the oracles as a module,
+    so attribute reads count."""
     oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
     functions = [node for node in oracles.body if isinstance(node, ast.FunctionDef)]
     assert functions
     read = set()
     for path in [*ROOT.glob("tests/*.py"), *ROOT.glob("benchmarks/*.py")]:
         if path.name != "oracles.py":
-            read |= reads(ast.parse(path.read_text(encoding="utf-8")))
-    inside = {f.name: reads(f) for f in functions}
+            read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    inside = {f.name: _reads(f) for f in functions}
     uncalled = [
         name
         for name in inside

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from bellbounds import (
     BellPolynomial,
+    DichotomicObservable,
     FileFormatError,
     InvariantViolation,
     MeasurementScenario,
@@ -21,14 +22,14 @@ from bellbounds import (
     realize,
     svetlichny,
 )
-from bellbounds.experiments import random_scenario
-from bellbounds.polynomials import EvenEquivalence, is_permutation_invariant, relabel
+from bellbounds.polynomials import EvenEquivalence, is_permutation_invariant
 from bellbounds.rng import SplitMix64
 
 from oracles import (
     dense_realize,
     enumerated_permutation_invariance,
     poly_ghz_value,
+    random_scenario,
     recursive_mk,
     recursive_svetlichny,
 )
@@ -211,25 +212,6 @@ class TestConstruction:
         assert a != -a
 
 
-class TestRelabel:
-    def test_is_an_involution(self):
-        for poly in (svetlichny(3, "-"), mk(3), mk(4)):
-            assert relabel(relabel(poly)) == poly
-
-    def test_swaps_mk_label(self):
-        assert relabel(mk(3)).label == "mk-primed"
-        assert relabel(relabel(mk(3))).label == "mk"
-
-    def test_flips_every_setting(self):
-        flipped = relabel(svetlichny(2, "-"))
-        assert dict(flipped.terms) == {
-            (1, 1): 1,
-            (1, 0): 1,
-            (0, 1): 1,
-            (0, 0): -1,
-        }
-
-
 class TestRealize:
     @given(st.lists(angles, min_size=6, max_size=6))
     def test_matches_ghz_oracle_three_parties(self, flat):
@@ -248,13 +230,22 @@ class TestRealize:
         st.lists(angles, min_size=24, max_size=24),
     )
     def test_relabel_equals_swapped_settings_bitwise(self, n, bloch, flat):
+        # the prime operation: every setting label 0 <-> 1, on the terms or
+        # on the scenario
         build = bloch_scenario if bloch else planar_scenario
         scenario = build(flat[: (4 if bloch else 2) * n])
+        swapped = MeasurementScenario(
+            [
+                (DichotomicObservable(a1.local, p, 0), DichotomicObservable(a0.local, p, 1))
+                for p, (a0, a1) in enumerate(scenario.pairs, start=1)
+            ]
+        )
         polys = (svetlichny(n, "-"), svetlichny(n, "+"), mk(n), dyadic_polynomial(n))
         for poly in polys:
+            flipped = {tuple(1 - b for b in k): c for k, c in poly.terms.items()}
             assert np.array_equal(
-                realize(relabel(poly), scenario),
-                realize(poly, scenario.with_swapped_settings()),
+                realize(BellPolynomial(n, flipped), scenario),
+                realize(poly, swapped),
             )
 
     def test_realized_operator_is_hermitian_bitwise(self):
@@ -406,6 +397,11 @@ class TestTermFiles:
     def test_round_trip(self, n):
         for poly in (svetlichny(n, "+"), svetlichny(n, "-"), mk(n)):
             assert parse_terms(dump_terms(poly)) == poly
+
+    def test_dump_rejects_a_polynomial_without_terms(self):
+        # "" would not parse back, and the party count would be lost
+        with pytest.raises(ValueError, match="at least one term"):
+            dump_terms(BellPolynomial(3, {}))
 
     def test_dump_rejects_scaled_terms(self):
         halved = BellPolynomial(1, {(0,): Fraction(1, 2)}, label="custom")
