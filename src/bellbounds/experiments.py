@@ -65,8 +65,13 @@ class SweepConfig:
     def __post_init__(self):
         if self.figure not in ("fig1", "fig2", "fig3"):
             raise ValueError(f"unknown figure {self.figure!r}")
+        for name, value in (("alpha_start", self.alpha_start), ("alpha_end", self.alpha_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.alpha_start < self.alpha_end:
             raise ValueError("alpha_start must be below alpha_end")
+        if not math.isfinite(self.alpha_end - self.alpha_start):
+            raise ValueError("alpha_end - alpha_start must be finite")
         if not 2 <= self.samples <= 10**6:
             raise ValueError(f"samples must be in [2, 10**6], got {self.samples}")
 
@@ -295,7 +300,7 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 if distinct:
                     worst_distinct = min(worst_distinct, record.slack)
 
-        witness = covariance_witness(state, [obs for pair in scenario.pairs for obs in pair])
+        witness = covariance_witness(state, scenario)
         smallest = float(jacobi_eigenvalues(witness.c)[0])
         margins.append(("psd", smallest, HARNESS_PSD_TOL))
 
@@ -342,8 +347,8 @@ class OptimizerConfig:
             raise ValueError("multistarts must be >= 1")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

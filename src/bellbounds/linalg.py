@@ -202,14 +202,17 @@ def product_mean(state: QuantumState, factors) -> complex:
 def expectation(state: QuantumState, observable) -> float:
     """<psi|O|psi> for pure states, Tr(rho O) for mixed; Hermitian O only.
 
-    Raises InvariantViolation when O is not Hermitian within 1e-12 or the
-    computed value keeps an imaginary residue above 1e-10.
+    Raises InvariantViolation when O has a non-finite entry, is not
+    Hermitian within 1e-12, or the computed value keeps an imaginary
+    residue above 1e-10.
     """
     obs = _square(observable)
     if obs.shape[0] != state.dim:
         raise ValueError(
             f"observable dimension {obs.shape[0]} does not match state dimension {state.dim}"
         )
+    if not np.isfinite(obs).all():
+        raise InvariantViolation("observable has a non-finite entry")
     defect = hermiticity_defect(obs)
     if defect > HERMITIAN_TOL:
         raise InvariantViolation(f"observable is not Hermitian: defect {defect:.3e}")
@@ -232,7 +235,7 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     Frobenius norm drops to ``JACOBI_OFF_TOL``.  Sized for the small
     correlation matrices built here; raises ArithmeticError if
     ``JACOBI_MAX_SWEEPS`` sweeps do not get there, and ValueError for a
-    non-finite, non-square, non-real or asymmetric input.
+    complex, non-finite, non-square or asymmetric input.
 
     The rotations run on a list of row lists of Python floats: at k <= 12
     numpy's per-element indexing and slice copies cost several times the
@@ -242,14 +245,9 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     With products in the numpy sweep's order (``tests/oracles.py``) and no
     fused multiply-add, the eigenvalues are the same bit for bit.
     """
-    arr = np.asarray(matrix)
-    if np.iscomplexobj(arr):
-        if arr.size and float(np.max(np.abs(arr.imag))) > HERMITIAN_TOL:
-            raise ValueError("matrix has a non-real part")
-        if not np.isfinite(arr.imag).all():
-            raise ValueError("matrix has a non-finite entry")
-        arr = arr.real
-    a = np.array(arr, dtype=float)
+    if np.iscomplexobj(matrix):
+        raise ValueError("expected a real matrix, got a complex one")
+    a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -310,43 +308,36 @@ class CovarianceWitness:
     c: np.ndarray
 
 
-def covariance_witness(state: QuantumState, observables) -> CovarianceWitness:
-    """M, V, C for per-party observables (``.party``, validated 2x2 ``.local``).
+def covariance_witness(state: QuantumState, scenario) -> CovarianceWitness:
+    """M, V, C for the 2N observables of a scenario on the same N parties.
 
-    Every entry is read from a 1- or 2-party reduced state of the parties
-    present, each taken once: ``v[i] = Tr(rho_p O_i)``, ``m[i, j] =
-    Re Tr(rho_p O_i O_j)`` when both observables sit on party p, and
-    ``Re Tr(rho_pq (O_i x O_j))`` otherwise.  For P parties present that is
-    P + P (P - 1) / 2 partial traces, each O(2**N) work on a pure state and
-    O(4**N) on a mixed one, and no full-space operator.
+    Observable i = 2 (p - 1) + s is party p's setting-s local.  Every entry
+    is read from a 1- or 2-party reduced state, each taken once:
+    ``v[i] = Tr(rho_p O_i)``, ``m[i, j] = Re Tr(rho_p O_i O_j)`` when both
+    observables sit on party p, and ``Re Tr(rho_pq (O_i x O_j))`` otherwise.
+    That is N + N (N - 1) / 2 partial traces, each O(2**N) work on a pure
+    state and O(4**N) on a mixed one, and no full-space operator.
     """
-    observables = list(observables)
-    if not observables:
-        raise ValueError("need at least one observable")
-    by_party = {}
-    for index, obs in enumerate(observables):
-        by_party.setdefault(obs.party, []).append(index)
-    rows = {party: np.array(own) for party, own in by_party.items()}
-    locals_ = np.array([obs.local for obs in observables])
-    k = len(observables)
-    v_complex = np.empty(k, dtype=complex)
-    m = np.empty((k, k))
-    for party, own in rows.items():
-        rho = reduced_state(state, (party,)).density
-        stack = locals_[own]
-        v_complex[own] = np.einsum("xy,iyx->i", rho, stack)
-        m[own[:, None], own] = np.einsum("xy,iyz,jzx->ij", rho, stack, stack).real
-    for p, q in itertools.combinations(sorted(rows), 2):
+    n = scenario.n_parties
+    if state.n_parties != n:
+        raise ValueError(f"state spans {state.n_parties} parties, scenario {n}")
+    locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
+    v_complex = np.empty((n, 2), dtype=complex)
+    m = np.empty((n, 2, n, 2))  # m[p, s, q, t] is entry (2 p + s, 2 q + t)
+    for p in range(n):
+        rho = reduced_state(state, (p + 1,)).density
+        v_complex[p] = np.einsum("xy,iyx->i", rho, locals_[p])
+        m[p, :, p] = np.einsum("xy,iyz,jzx->ij", rho, locals_[p], locals_[p]).real
+    for p, q in itertools.combinations(range(n), 2):
         # rho[x y, z w] with x, z on p: Tr(rho (A x B)) = sum rho A[z, x] B[w, y]
-        rho = reduced_state(state, (p, q)).density.reshape(2, 2, 2, 2)
-        block = np.einsum("xyzw,izx,jwy->ij", rho, locals_[rows[p]], locals_[rows[q]]).real
-        m[rows[p][:, None], rows[q]] = block
-        m[rows[q][:, None], rows[p]] = block.T
+        rho = reduced_state(state, (p + 1, q + 1)).density.reshape(2, 2, 2, 2)
+        m[p, :, q] = np.einsum("xyzw,izx,jwy->ij", rho, locals_[p], locals_[q]).real
     worst_imag = float(np.max(np.abs(v_complex.imag)))
     if worst_imag > IMAG_TOL:
         raise InvariantViolation(f"mean vector keeps imaginary residue {worst_imag:.3e}")
+    m = m.reshape(2 * n, 2 * n)
     m = np.triu(m) + np.triu(m, 1).T  # Re Tr(rho O_i O_j) for i <= j, mirrored
-    v = np.array(v_complex.real)
+    v = v_complex.real.flatten()
     c = m - np.outer(v, v)
     for frozen in (m, v, c):
         frozen.setflags(write=False)

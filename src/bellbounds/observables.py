@@ -81,7 +81,12 @@ def bloch_observable(nx: float, ny: float, nz: float) -> np.ndarray:
 
 
 class DichotomicObservable:
-    """A validated +/-1 observable bound to a party (1-based) and setting (0/1)."""
+    """A validated +/-1 observable bound to a party (1-based) and setting (0/1).
+
+    ``local`` is the Hermitian part (A + A^H) / 2 of the validated local A
+    (A itself when exactly Hermitian), so products of locals are exactly
+    Hermitian, as ``expectation`` needs.
+    """
 
     __slots__ = ("local", "party", "setting")
 
@@ -98,6 +103,9 @@ class DichotomicObservable:
             raise ValueError(f"party index must be >= 1, got {party}")
         if setting not in (0, 1):
             raise ValueError(f"setting must be 0 or 1, got {setting}")
+        (a, b), (c, d) = arr.tolist()
+        if a.imag or d.imag or b != c.conjugate():  # skips the numpy work when exact
+            arr = (arr + arr.conj().T) / 2.0
         arr.setflags(write=False)
         self.local = arr
         self.party = party
@@ -128,38 +136,23 @@ def embed_local(local, party: int, n_parties: int) -> np.ndarray:
 class MeasurementScenario:
     """Two dichotomic observables per party, parties numbered 1..N.
 
-    ``angles`` records the per-party (theta0, theta1) pairs when the planar
-    family built the scenario, and is None otherwise.
+    ``pairs`` gives each party's (setting 0, setting 1) 2x2 locals, party 1
+    first.  The scenario builds every observable itself, labelled with the
+    party and setting of its slot, so each local is validated once, here.
+    ``angles`` records the per-party (theta0, theta1) pairs when
+    :meth:`planar` built the scenario, and is None otherwise.
     """
 
     __slots__ = ("pairs", "angles")
 
-    def __init__(self, observables, angles=None):
-        pairs = tuple(tuple(pair) for pair in observables)
-        if not pairs:
+    def __init__(self, pairs):
+        self.pairs = tuple(
+            (DichotomicObservable(first, party, 0), DichotomicObservable(second, party, 1))
+            for party, (first, second) in enumerate(pairs, start=1)
+        )
+        if not self.pairs:
             raise ValueError("scenario needs at least one party")
-        for slot, pair in enumerate(pairs, start=1):
-            if len(pair) != 2:
-                raise ValueError(f"party {slot} needs exactly two observables")
-            for setting, obs in enumerate(pair):
-                if not isinstance(obs, DichotomicObservable):
-                    raise TypeError("scenario entries must be DichotomicObservable")
-                if obs.party != slot:
-                    raise ValueError(
-                        f"observable at slot {slot} carries party index {obs.party}"
-                    )
-                if obs.setting != setting:
-                    raise ValueError(
-                        f"observable at slot {slot} setting {setting} carries label {obs.setting}"
-                    )
-        self.pairs = pairs
-        if angles is None:
-            self.angles = None
-        else:
-            recorded = tuple((float(t0), float(t1)) for t0, t1 in angles)
-            if len(recorded) != len(pairs):
-                raise ValueError("angle record length does not match party count")
-            self.angles = recorded
+        self.angles = None
 
     @property
     def n_parties(self) -> int:
@@ -175,28 +168,15 @@ class MeasurementScenario:
     @classmethod
     def planar(cls, angles) -> "MeasurementScenario":
         """Build from per-party (theta0, theta1) radians, recording the angles."""
-        angle_pairs = [(float(t0), float(t1)) for t0, t1 in angles]
-        observables = [
-            (
-                DichotomicObservable(planar_observable(t0), party, 0),
-                DichotomicObservable(planar_observable(t1), party, 1),
-            )
-            for party, (t0, t1) in enumerate(angle_pairs, start=1)
-        ]
-        return cls(observables, angles=angle_pairs)
+        angle_pairs = tuple((float(t0), float(t1)) for t0, t1 in angles)
+        scenario = cls((planar_observable(t0), planar_observable(t1)) for t0, t1 in angle_pairs)
+        scenario.angles = angle_pairs
+        return scenario
 
     @classmethod
     def bloch(cls, directions) -> "MeasurementScenario":
         """Build from per-party ((nx, ny, nz) for setting 0, same for setting 1)."""
-        observables = []
-        for party, (d0, d1) in enumerate(directions, start=1):
-            observables.append(
-                (
-                    DichotomicObservable(bloch_observable(*d0), party, 0),
-                    DichotomicObservable(bloch_observable(*d1), party, 1),
-                )
-            )
-        return cls(observables)
+        return cls((bloch_observable(*d0), bloch_observable(*d1)) for d0, d1 in directions)
 
     def __repr__(self):
         family = "planar" if self.angles is not None else "general"

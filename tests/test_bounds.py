@@ -255,19 +255,11 @@ class TestMkBoundClassicalPair:
 
 
 def diagonal_scenario(rng, n_parties):
-    pairs = []
-    for party in range(1, n_parties + 1):
-        row = []
-        for setting in (0, 1):
-            signs = [
-                1.0 if rng.below(2) else -1.0,
-                1.0 if rng.below(2) else -1.0,
-            ]
-            row.append(
-                DichotomicObservable(np.diag(signs).astype(complex), party, setting)
-            )
-        pairs.append(tuple(row))
-    return MeasurementScenario(tuple(pairs))
+    def local():
+        signs = [1.0 if rng.below(2) else -1.0 for _ in range(2)]
+        return np.diag(signs).astype(complex)
+
+    return MeasurementScenario([(local(), local()) for _ in range(n_parties)])
 
 
 def diagonal_state(rng, n_parties):

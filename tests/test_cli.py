@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,30 @@ class TestExitCodes:
     def test_bad_domain_is_value_error(self, capsys):
         assert run(["verify", "--trials", "5", "--n-min", "1"]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["figure", "--id", "1", "--samples", "3", "--alpha-end", "inf"], "alpha_end"),
+            (["figure", "--id", "1", "--samples", "3", "--alpha-start", "nan"], "alpha_start"),
+            (["figure", "--id", "1", "--samples", "3", "--alpha-start=-1e308",
+              "--alpha-end", "1.7e308"], "alpha_end - alpha_start"),
+            (["optimize", "--n", "2", "--tol", "inf", "--multistarts", "1",
+              "--max-evals", "10"], "tol"),
+            (["optimize", "--n", "2", "--tol", "nan", "--multistarts", "1",
+              "--max-evals", "10"], "tol"),
+        ],
+        ids=["alpha-end-inf", "alpha-start-nan", "alpha-span-inf", "tol-inf", "tol-nan"],
+    )
+    def test_non_finite_config_value_is_value_error(self, tmp_path, capsys, argv, field):
+        if argv[0] == "figure":
+            argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be finite")
 
 
 class TestPolynomialVerb:

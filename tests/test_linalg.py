@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellbounds import (
-    DichotomicObservable,
     FileFormatError,
     InvariantViolation,
     MeasurementScenario,
@@ -194,6 +193,19 @@ class TestExpectation:
         with pytest.raises(InvariantViolation):
             expectation(QuantumState.pure([1.0, 0.0]), ladder)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_rejects_non_finite_observable(self, kind, bad):
+        # NaN fails every comparison, so the Hermitian and imaginary-residue
+        # gates alone would let a NaN value through
+        state = ghz_state(2)
+        if kind == "mixed":
+            state = QuantumState.mixed(state.density_matrix())
+        obs = kron_chain((SIGMA_X, SIGMA_X)).copy()
+        obs[0, 3] = obs[3, 0] = bad
+        with pytest.raises(InvariantViolation, match="non-finite entry"):
+            expectation(state, obs)
+
     @given(st.lists(angles, min_size=2, max_size=5))
     def test_ghz_product_correlator(self, thetas):
         state = ghz_state(len(thetas))
@@ -297,15 +309,10 @@ class TestJacobi:
     def test_bit_identical_to_numpy_sweep_on_witnesses(self, n_parties):
         # the 2N x 2N covariance matrices the harness hands to Jacobi
         for family in ("planar", "bloch"):
-            observables = all_observables(random_scenario(7300 + n_parties, n_parties, family))
+            scenario = random_scenario(7300 + n_parties, n_parties, family)
             for state in random_states(7400 + n_parties, n_parties):
-                c = covariance_witness(state, observables).c
+                c = covariance_witness(state, scenario).c
                 assert np.array_equal(jacobi_eigenvalues(c), numpy_jacobi_eigenvalues(c))
-
-    def test_accepts_complex_with_tiny_imaginary(self):
-        sym = np.array([[2.0, 1.0], [1.0, -1.0]]) + 1e-15j
-        got = jacobi_eigenvalues(sym)
-        assert np.max(np.abs(got - np.linalg.eigvalsh(sym.real))) < 1e-12
 
     def test_rejects_significant_imaginary(self):
         with pytest.raises(ValueError):
@@ -399,17 +406,14 @@ def all_observables(scenario):
 class TestCovarianceWitness:
     @staticmethod
     def planar_pair():
-        return (
-            DichotomicObservable(planar_observable(0.2), 1, 0),
-            DichotomicObservable(planar_observable(-0.7), 2, 0),
-        )
+        return MeasurementScenario.planar(((0.2, 1.1), (-0.7, 0.4)))
 
     def test_fields_and_shapes(self):
         witness = covariance_witness(ghz_state(2), self.planar_pair())
         assert isinstance(witness, CovarianceWitness)
-        assert witness.m.shape == (2, 2)
-        assert witness.v.shape == (2,)
-        assert witness.c.shape == (2, 2)
+        assert witness.m.shape == (4, 4)
+        assert witness.v.shape == (4,)
+        assert witness.c.shape == (4, 4)
 
     def test_covariance_is_psd(self):
         rng = SplitMix64(17)
@@ -417,7 +421,7 @@ class TestCovarianceWitness:
             scenario = MeasurementScenario.planar(
                 [(2.0 * math.pi * rng.uniform(), 2.0 * math.pi * rng.uniform()) for _ in range(2)]
             )
-            witness = covariance_witness(ghz_state(2), all_observables(scenario))
+            witness = covariance_witness(ghz_state(2), scenario)
             assert jacobi_eigenvalues(witness.c)[0] >= -1e-10
 
     def test_pure_and_mixed_agree(self):
@@ -452,7 +456,7 @@ class TestCovarianceWitness:
         scenario = random_scenario(6100 + n_parties, n_parties, family)
         observables = all_observables(scenario)
         for state in random_states(6200 + n_parties, n_parties):
-            got = covariance_witness(state, observables)
+            got = covariance_witness(state, scenario)
             want = dense_covariance_witness(state.density_matrix(), observables)
             for field, dense in zip((got.m, got.v, got.c), want):
                 assert np.max(np.abs(field - dense)) <= tol
@@ -472,12 +476,12 @@ class TestCovarianceWitness:
 
         monkeypatch.setattr(linalg, "reduced_state", tracing)
         monkeypatch.setattr(linalg, "product_mean", forbidden)
-        observables = all_observables(random_scenario(6400 + n_parties, n_parties, "bloch"))
+        scenario = random_scenario(6400 + n_parties, n_parties, "bloch")
         parties = range(1, n_parties + 1)
         expected = [(p,) for p in parties] + list(itertools.combinations(parties, 2))
         for state in random_states(6500 + n_parties, n_parties):
             marginals.clear()
-            covariance_witness(state, observables)
+            covariance_witness(state, scenario)
             assert len(marginals) == n_parties + n_parties * (n_parties - 1) // 2
             assert sorted(marginals) == sorted(expected)
 
@@ -485,11 +489,11 @@ class TestCovarianceWitness:
         # The dense route would need 24 embedded operators of 268 MB each.
         amps = np.random.default_rng(6312).normal(size=(2, 4096)).T @ [1.0, 1.0j]
         state = QuantumState.pure(amps / np.linalg.norm(amps))
-        observables = all_observables(random_scenario(6313, 12, "bloch"))
+        scenario = random_scenario(6313, 12, "bloch")
         tracemalloc.start()
         try:
             began = time.perf_counter()
-            witness = covariance_witness(state, observables)
+            witness = covariance_witness(state, scenario)
             elapsed = time.perf_counter() - began
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -498,11 +502,9 @@ class TestCovarianceWitness:
         assert peak < 1 << 20
         assert jacobi_eigenvalues(witness.c)[0] >= -1e-10
 
-    def test_rejects_empty_and_out_of_range_parties(self):
-        with pytest.raises(ValueError):
-            covariance_witness(ghz_state(2), [])
-        with pytest.raises(ValueError):
-            covariance_witness(ghz_state(2), [DichotomicObservable(SIGMA_X, 3, 0)])
+    def test_rejects_a_state_on_other_parties(self):
+        with pytest.raises(ValueError, match="state spans 3 parties, scenario 2"):
+            covariance_witness(ghz_state(3), self.planar_pair())
 
 
 class TestStateFiles:

@@ -11,7 +11,16 @@ from bellbounds import (
     MeasurementScenario,
     write_scenario_file,
 )
-from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron_chain
+from bellbounds.linalg import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    expectation,
+    ghz_state,
+    hermiticity_defect,
+    kron_chain,
+)
 from bellbounds.observables import (
     bloch_observable,
     embed_local,
@@ -19,6 +28,7 @@ from bellbounds.observables import (
     read_scenario_file,
     validate_dichotomic,
 )
+from bellbounds.polynomials import realize, svetlichny
 
 
 class TestPlanarObservable:
@@ -163,6 +173,18 @@ class TestDichotomicObservable:
         with pytest.raises(ValueError):
             embed_local(obs.local, obs.party, 2)[0, 0] = 1.0
 
+    @pytest.mark.parametrize("n_parties", range(2, 9))
+    def test_near_hermitian_locals_realize_an_exactly_hermitian_operator(self, n_parties):
+        # each local passes the 1e-12 gate, but the N-fold products of the
+        # raw locals drift by about N * 0.9e-12, past expectation's 1e-12
+        skew = SIGMA_X + 0.9e-12j * np.array([[0.0, 1.0], [0.0, 0.0]])
+        obs = DichotomicObservable(skew, 1, 0)
+        assert np.array_equal(obs.local, obs.local.conj().T)
+        scenario = MeasurementScenario([(skew, SIGMA_Z)] * n_parties)
+        operator = realize(svetlichny(n_parties, "-"), scenario)
+        assert hermiticity_defect(operator) == 0.0
+        assert math.isfinite(expectation(ghz_state(n_parties), operator))
+
     def test_slots_hold_no_cache(self):
         assert DichotomicObservable.__slots__ == ("local", "party", "setting")
 
@@ -212,26 +234,29 @@ class TestMeasurementScenario:
         with pytest.raises(ValueError):
             scenario.observable(1, 3)
 
-    def test_rejects_mislabeled_pairs(self):
-        # slot 1 must hold party-1 observables
-        wrong = (
-            (
-                DichotomicObservable(SIGMA_X, 2, 0),
-                DichotomicObservable(SIGMA_Y, 2, 1),
-            ),
-        )
-        with pytest.raises(ValueError):
-            MeasurementScenario(wrong)
+    @pytest.mark.parametrize("family", ["planar", "bloch", "pauli"])
+    def test_observables_carry_their_slot_and_given_local(self, family):
+        if family == "planar":
+            locals_ = [(planar_observable(0.1 * p), planar_observable(-0.3 * p)) for p in range(3)]
+        elif family == "bloch":
+            locals_ = [
+                (bloch_observable(1.0, -2.0, 0.5 * p), bloch_observable(-0.3, p, 2.0))
+                for p in range(3)
+            ]
+        else:
+            locals_ = [(SIGMA_X, SIGMA_Y), (SIGMA_Z, SIGMA_X), (SIGMA_Y, SIGMA_Z)]
+        scenario = MeasurementScenario(locals_)
+        assert scenario.n_parties == 3 and scenario.angles is None
+        for party, pair in enumerate(locals_, start=1):
+            for setting, local in enumerate(pair):
+                obs = scenario.observable(party, setting)
+                assert (obs.party, obs.setting) == (party, setting)
+                assert np.array_equal(obs.local, local)
 
-    def test_rejects_mismatched_settings(self):
-        wrong = (
-            (
-                DichotomicObservable(SIGMA_X, 1, 0),
-                DichotomicObservable(SIGMA_Y, 1, 0),
-            ),
-        )
-        with pytest.raises(ValueError):
-            MeasurementScenario(wrong)
+    def test_rejects_observables_in_place_of_locals(self):
+        pair = (DichotomicObservable(SIGMA_X, 1, 0), DichotomicObservable(SIGMA_Y, 1, 1))
+        with pytest.raises(TypeError):
+            MeasurementScenario([pair])
 
 
 class TestScenarioFiles:

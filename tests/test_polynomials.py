@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from bellbounds import (
     BellPolynomial,
-    DichotomicObservable,
     FileFormatError,
     InvariantViolation,
     MeasurementScenario,
@@ -234,12 +233,7 @@ class TestRealize:
         # on the scenario
         build = bloch_scenario if bloch else planar_scenario
         scenario = build(flat[: (4 if bloch else 2) * n])
-        swapped = MeasurementScenario(
-            [
-                (DichotomicObservable(a1.local, p, 0), DichotomicObservable(a0.local, p, 1))
-                for p, (a0, a1) in enumerate(scenario.pairs, start=1)
-            ]
-        )
+        swapped = MeasurementScenario([(a1.local, a0.local) for a0, a1 in scenario.pairs])
         polys = (svetlichny(n, "-"), svetlichny(n, "+"), mk(n), dyadic_polynomial(n))
         for poly in polys:
             flipped = {tuple(1 - b for b in k): c for k, c in poly.terms.items()}
