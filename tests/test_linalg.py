@@ -405,11 +405,11 @@ def all_observables(scenario):
 
 class TestCovarianceWitness:
     @staticmethod
-    def planar_pair():
+    def planar_scenario():
         return MeasurementScenario.planar(((0.2, 1.1), (-0.7, 0.4)))
 
     def test_fields_and_shapes(self):
-        witness = covariance_witness(ghz_state(2), self.planar_pair())
+        witness = covariance_witness(ghz_state(2), self.planar_scenario())
         assert isinstance(witness, CovarianceWitness)
         assert witness.m.shape == (4, 4)
         assert witness.v.shape == (4,)
@@ -427,9 +427,9 @@ class TestCovarianceWitness:
     def test_pure_and_mixed_agree(self):
         state = ghz_state(2)
         rho = QuantumState.mixed(state.density_matrix())
-        ops = self.planar_pair()
-        wp = covariance_witness(state, ops)
-        wm = covariance_witness(rho, ops)
+        scenario = self.planar_scenario()
+        wp = covariance_witness(state, scenario)
+        wm = covariance_witness(rho, scenario)
         assert np.max(np.abs(wp.c - wm.c)) < 1e-12
 
     @pytest.mark.parametrize("n_parties", range(2, 9))
@@ -504,7 +504,7 @@ class TestCovarianceWitness:
 
     def test_rejects_a_state_on_other_parties(self):
         with pytest.raises(ValueError, match="state spans 3 parties, scenario 2"):
-            covariance_witness(ghz_state(3), self.planar_pair())
+            covariance_witness(ghz_state(3), self.planar_scenario())
 
 
 class TestStateFiles:
