@@ -187,6 +187,11 @@ def _run_optimize(args) -> int:
         f"converged={'true' if result.converged else 'false'}\n"
         f"angles={angles}\n"
     )
+    for index, (value, evals, converged) in enumerate(result.starts):
+        sys.stderr.write(
+            f"start={index} value={value:.15g} evals={evals} "
+            f"converged={'true' if converged else 'false'}\n"
+        )
     return 0
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     expectation,
     ghz_state,
     jacobi_eigenvalues,
+    pauli_tensor,
     read_state_file,
 )
 from .observables import MeasurementScenario
@@ -354,33 +355,60 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best point found; converged is False when only the eval budget stopped
-    the search (best-so-far is still returned)."""
+    the search (best-so-far is still returned).  ``starts`` holds one
+    (value reached, evaluations used, converged) triple per multistart, in
+    start order."""
 
     angles: np.ndarray
     value: float
     evals: int
     converged: bool
+    starts: tuple
+
+
+def _setting_rows(params, n_parties: int, family: str) -> np.ndarray:
+    """(N, 2, 3) unit Bloch vectors of each party's two settings.
+
+    Planar params are (theta0, theta1) per party, each giving
+    (cos theta, sin theta, 0); bloch params are (polar, azimuth) per
+    setting, each giving (sin polar cos azimuth, sin polar sin azimuth,
+    cos polar).
+    """
+    if family == "planar":
+        theta = np.reshape(params, (n_parties, 2))
+        rows = np.zeros((n_parties, 2, 3))
+        rows[..., 0] = np.cos(theta)
+        rows[..., 1] = np.sin(theta)
+        return rows
+    angles = np.reshape(params, (n_parties, 2, 2))
+    polar, azimuth = angles[..., 0], angles[..., 1]
+    rows = np.empty((n_parties, 2, 3))
+    sin_polar = np.sin(polar)
+    rows[..., 0] = sin_polar * np.cos(azimuth)
+    rows[..., 1] = sin_polar * np.sin(azimuth)
+    rows[..., 2] = np.cos(polar)
+    return rows
+
+
+def _tensor_value(tensor: np.ndarray, table: np.ndarray, rows: np.ndarray) -> float:
+    """sum_s table[s] sum_k tensor[k] prod_p rows[p, s_p, k_p].
+
+    ``tensor`` is a (3,)*N Pauli tensor, ``table`` a (2,)*N coefficient
+    table and ``rows`` the (N, 2, 3) setting rows.  Each party's rows
+    contract its Pauli axis in turn, (S, 3, R) -> (S, 2, R), so its setting
+    axis lands after those of the parties before it: the result runs over
+    the setting words in the table's own order.
+    """
+    corr = tensor.reshape(1, -1)
+    for party_rows in rows:
+        corr = party_rows @ corr.reshape(-1, 3, corr.shape[-1] // 3)
+    return float(table.ravel() @ corr.ravel())
 
 
 def _scenario_from_params(params, n_parties: int, family: str) -> MeasurementScenario:
     if family == "planar":
-        pairs = [(params[2 * p], params[2 * p + 1]) for p in range(n_parties)]
-        return MeasurementScenario.planar(pairs)
-    directions = []
-    for p in range(n_parties):
-        pair = []
-        for s in range(2):
-            polar = params[4 * p + 2 * s]
-            azimuth = params[4 * p + 2 * s + 1]
-            pair.append(
-                (
-                    math.sin(polar) * math.cos(azimuth),
-                    math.sin(polar) * math.sin(azimuth),
-                    math.cos(polar),
-                )
-            )
-        directions.append((pair[0], pair[1]))
-    return MeasurementScenario.bloch(directions)
+        return MeasurementScenario.planar(np.reshape(params, (n_parties, 2)))
+    return MeasurementScenario.bloch(_setting_rows(params, n_parties, family))
 
 
 def nelder_mead(
@@ -456,6 +484,13 @@ def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
     Start points are uniform angles from a fixed internal stream, so equal
     configs always return the same result.  The per-start budget is
     max_evals // multistarts (at least one simplex worth).
+
+    The state is fixed, so the operator objectives read its Pauli tensor T,
+    computed once: a value is sum_s c_s sum_k T[k] prod_p n_p[s_p][k_p]
+    over the settings' unit Bloch vectors n_p, contracted one party at a
+    time, with no scenario or 2**N x 2**N operator per evaluation.  The
+    best point is built into a validated scenario once, so the returned
+    angles pass the same checks as any other scenario's.
     """
     n = config.n_parties
     state = ghz_state(n)
@@ -465,13 +500,15 @@ def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
         operator = mk(n)
     else:
         operator = None
+    if operator is not None:
+        tensor = pauli_tensor(state)
 
     def score(params: np.ndarray) -> float:
-        scenario = _scenario_from_params(params, n, config.family)
-        if operator is not None:
-            return -abs(expectation(state, realize(operator, scenario)))
-        report = best_svetlichny_bound(scenario, state)
-        return -(report.known_tsirelson - report.value)
+        if operator is None:
+            report = best_svetlichny_bound(_scenario_from_params(params, n, config.family), state)
+            return -(report.known_tsirelson - report.value)
+        rows = _setting_rows(params, n, config.family)
+        return -abs(_tensor_value(tensor, operator.table, rows))
 
     dims = (2 if config.family == "planar" else 4) * n
     rng = SplitMix64(_SEARCH_SEED)
@@ -479,7 +516,7 @@ def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
     best_point = None
     best_value = math.inf
     best_converged = False
-    total_evals = 0
+    starts = []
     for _ in range(config.multistarts):
         start = np.array(
             [2.0 * math.pi * rng.uniform() for _ in range(dims)], dtype=float
@@ -487,12 +524,14 @@ def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
         point, value, used, converged = nelder_mead(
             score, start, tol=config.tol, max_evals=per_start
         )
-        total_evals += used
+        starts.append((-value, used, converged))
         if value < best_value:
             best_point, best_value, best_converged = point, value, converged
+    _scenario_from_params(best_point, n, config.family)  # the 2x2 checks, once
     return OptimizationResult(
         angles=best_point,
         value=-best_value,
-        evals=total_evals,
+        evals=sum(used for _, used, _ in starts),
         converged=best_converged,
+        starts=tuple(starts),
     )

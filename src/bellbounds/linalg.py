@@ -25,7 +25,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, ID2):
+_PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, ID2, _PAULIS):
     _m.setflags(write=False)
 del _m
 
@@ -225,6 +226,40 @@ def expectation(state: QuantumState, observable) -> float:
             f"expectation keeps imaginary residue {value.imag:.3e}"
         )
     return value.real
+
+
+def pauli_tensor(state: QuantumState) -> np.ndarray:
+    """The real (3,)*N tensor T[k1, ..., kN] = <sigma_k1 x ... x sigma_kN>
+    of a pure state, with k = 0, 1, 2 for x, y, z.
+
+    The parties split into a left and a right half.  Each half applies its
+    3**half Pauli strings to psi, one party's axis at a time, and stacks the
+    results as rows, L and R; the Paulis on different halves commute, so
+    T = conj(L) R^T, one matrix product.  That is O(3**N 2**N) work, and
+    the two complex 3**(N/2) x 2**N stacks take 48 MB each at N = 12; no
+    2**N x 2**N operator is built.  Raises ValueError on a mixed state and
+    InvariantViolation when an entry keeps an imaginary residue above 1e-10.
+    """
+    if state.kind != "pure":
+        raise ValueError("the Pauli tensor is computed for pure states only")
+    n = state.n_parties
+
+    def stacked(parties):
+        rows = state.amplitudes.reshape(1, -1)
+        for party in parties:
+            # rows[c, a, j, b] with j on the party's axis -> [c, k, a, i, b]
+            split = rows.reshape(rows.shape[0], 1 << party, 2, -1)
+            rows = (_PAULIS[None, :, None] @ split[:, None]).reshape(3 * rows.shape[0], -1)
+        return rows
+
+    half = n // 2
+    product = stacked(range(half)).conj() @ stacked(range(half, n)).T
+    worst_imag = float(np.max(np.abs(product.imag)))
+    if worst_imag > IMAG_TOL:
+        raise InvariantViolation(f"Pauli tensor keeps imaginary residue {worst_imag:.3e}")
+    tensor = np.ascontiguousarray(product.real).reshape((3,) * n)
+    tensor.setflags(write=False)
+    return tensor
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray:

@@ -26,7 +26,10 @@ definition that the library's Hamming-weight rule in
 ``recursive_svetlichny`` and ``recursive_mk`` run the paper's recursions
 on exact ``Fraction`` term dicts, the definitions that the library's
 Hamming-weight closed forms in ``svetlichny`` and ``mk`` are checked
-against.
+against.  ``dense_pauli_tensor`` is Tr(rho sigma_k1 x ... x sigma_kN) summed
+entry by entry over rho, with each half's Pauli strings built by Kronecker
+chains, the definition that the library's ``pauli_tensor`` (Paulis applied
+to psi) is checked against.
 """
 
 import itertools
@@ -57,6 +60,37 @@ def dense_realize(polynomial, scenario) -> np.ndarray:
         return tree(items[:mid]) + tree(items[mid:])
 
     return tree(sorted(polynomial.terms.items()))
+
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def dense_pauli_tensor(density) -> np.ndarray:
+    """The (3,)*N array of Re Tr(rho sigma_k1 x ... x sigma_kN), k = x, y, z.
+
+    Each half of the parties has its Pauli strings built as dense Kronecker
+    chains, A over the first N // 2 parties and B over the rest, and the
+    trace of rho (A x B) is summed entry by entry over rho's reshaped row
+    and column indices, Tr(rho (A x B)) = sum rho[a b, c d] A[c, a] B[d, b],
+    which costs 4**N per string pair without forming A x B.
+    """
+    n_parties = density.shape[0].bit_length() - 1
+    half = n_parties // 2
+
+    def strings(count):
+        return np.array([
+            reduce(np.kron, [PAULIS[i] for i in k], np.eye(1, dtype=complex))
+            for k in itertools.product(range(3), repeat=count)
+        ])
+
+    left, right = strings(half), strings(n_parties - half)
+    rho = density.reshape(left.shape[1], right.shape[1], left.shape[1], right.shape[1])
+    traces = np.einsum("abcd,Kca,Rdb->KR", rho, left, right, optimize=True)
+    return traces.real.reshape((3,) * n_parties)
 
 
 def enumerated_permutation_invariance(polynomial) -> bool:

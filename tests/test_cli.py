@@ -245,19 +245,19 @@ class TestOptimizeVerb:
                 3,
                 [
                     "value=5.65685424949238",
-                    "evals=3521",
-                    "angles=0.456931405849659,2.02772773561364,1.50002840711997,"
-                    "3.07082472904693,0.399234679341586,1.9700309970895",
+                    "evals=3517",
+                    "angles=0.456931352463443,2.02772768964261,1.50002864946001,"
+                    "3.07082499818389,0.399234477528697,1.97003078989965",
                 ],
             ),
             (
                 4,
                 [
                     "value=11.3137084989848",
-                    "evals=4663",
-                    "angles=0.273015062442374,1.8438113921523,2.00804497660691,"
-                    "3.57884129246263,0.767241903775188,2.33803820493353,"
-                    "-0.692107441019507,0.878688887025854",
+                    "evals=4673",
+                    "angles=2.21570638556064,0.644910045103417,1.84422613309424,"
+                    "0.273429802749515,2.31493011656886,0.744133774402728,"
+                    "0.693720858252434,5.40610983817823",
                 ],
             ),
         ],
@@ -267,6 +267,20 @@ class TestOptimizeVerb:
         assert run(["optimize", "--n", str(n)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.split("=")[0] in ("value", "evals", "angles")] == pinned
+
+    def test_reports_each_start_on_stderr(self, capsys):
+        assert run(["optimize", "--n", "2", "--multistarts", "3", "--max-evals", "600"]) == 0
+        captured = capsys.readouterr()
+        fields = dict(line.split("=", 1) for line in captured.out.splitlines())
+        assert list(fields) == [
+            "objective", "n_parties", "family", "value", "evals", "converged", "angles"
+        ]
+        starts = [dict(item.split("=") for item in line.split()) for line in captured.err.splitlines()]
+        assert [list(start) for start in starts] == [["start", "value", "evals", "converged"]] * 3
+        assert [start["start"] for start in starts] == ["0", "1", "2"]
+        assert {start["converged"] for start in starts} <= {"true", "false"}
+        assert sum(int(start["evals"]) for start in starts) == int(fields["evals"])
+        assert max(float(start["value"]) for start in starts) == float(fields["value"])
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,33 +1,72 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from bellbounds import InvariantViolation, covariance_inequality, experiments
+from bellbounds import (
+    InvariantViolation,
+    covariance_inequality,
+    expectation,
+    experiments,
+    ghz_state,
+    mk,
+    observables,
+    svetlichny,
+)
 from bellbounds.experiments import (
     SWEEP_CSV_HEADER,
     HarnessReport,
     OptimizerConfig,
     SweepConfig,
     SweepRow,
+    _scenario_from_params,
+    _setting_rows,
+    _tensor_value,
     figure_sweep,
     maximize_violation,
     nelder_mead,
     verify_bounds_random,
     write_sweep_csv,
 )
+from bellbounds.linalg import pauli_tensor
 from bellbounds.rng import SplitMix64
 
 from oracles import (
+    dense_realize,
     fig1_party1_bound,
     fig1_value,
     fig2_bound,
     fig2_value,
     fig3_pair12_bound,
     fig3_value,
+    poly_ghz_value,
+    random_states,
 )
 
 ROOT2 = math.sqrt(2.0)
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def coefficient_weight(poly) -> float:
+    return float(sum(abs(c) for c in poly.terms.values()))
+
+
+def ghz_tensor_tol(poly) -> float:
+    """Bound on |tensor-route value - cos-sum value| on GHZ_N, planar rows.
+
+    u = eps / 2.  Each Pauli tensor entry is one complex dot product of two
+    unit vectors with 2**N entries (the Pauli strings only rephase and
+    permute psi, exactly): off by (2**N + 2) u, with |T[k]| <= 1.  Planar
+    rows carry 3 u per entry and have 1-norm <= sqrt 2, so
+    sum_k prod_p |n_p[k_p]| <= 2**(N/2); the N contraction steps add 3N
+    roundings per term, and the final dot over the 2**N setting words adds
+    2**N u per unit of sum|c| (each correlator has modulus <= 1).  The fsum
+    oracle is off by (2 pi N + 2) u per term (angles in [0, 2 pi)).
+    """
+    n = poly.n_parties
+    per_unit = (2**n + 2 + 6 * n) * 2 ** (n / 2) + 2**n + 2 * math.pi * n + 2
+    return per_unit * UNIT_ROUNDOFF * coefficient_weight(poly)
 
 
 class TestSplitMix64:
@@ -302,6 +341,44 @@ class TestMaximizeViolation:
                 OptimizerConfig(n_parties=2, multistarts=1, max_evals=10)
             )
 
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    @pytest.mark.parametrize("objective", ["max-svetlichny", "max-mk"])
+    def test_operator_objectives_stay_off_the_dense_path(self, monkeypatch, objective, family):
+        def dense(*args):
+            raise AssertionError("the dense route ran")
+
+        monkeypatch.setattr(experiments, "realize", dense)
+        monkeypatch.setattr(experiments, "expectation", dense)
+        validations = []
+        validate = observables.validate_dichotomic
+
+        def counted(matrix):
+            validations.append(1)
+            return validate(matrix)
+
+        monkeypatch.setattr(observables, "validate_dichotomic", counted)
+        config = OptimizerConfig(
+            n_parties=3, objective=objective, family=family, multistarts=2, max_evals=300
+        )
+        result = maximize_violation(config)
+        assert result.evals >= 2 * (len(result.angles) + 1)
+        # one scenario, built for the returned angles
+        assert len(validations) == 2 * 3
+
+    def test_twelve_parties_within_budget(self):
+        # The budget is 10 s.  Through realize and expectation one N = 12
+        # evaluation took about 1.2 s (one core of a 2-core Intel Xeon), so
+        # 50 of them took about a minute; the tensor route computes the
+        # Pauli tensor once (under 1 s) and then takes about 2 ms per
+        # evaluation.
+        start = time.perf_counter()
+        result = maximize_violation(OptimizerConfig(n_parties=12, multistarts=1, max_evals=50))
+        assert time.perf_counter() - start < 10.0
+        assert result.evals == 50 and result.angles.shape == (24,)
+        poly = svetlichny(12, "-")
+        reached = abs(poly_ghz_value(poly, _scenario_from_params(result.angles, 12, "planar")))
+        assert abs(result.value - reached) <= ghz_tensor_tol(poly)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(n_parties=1)
@@ -313,3 +390,42 @@ class TestMaximizeViolation:
             OptimizerConfig(n_parties=2, multistarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(n_parties=2, tol=0.0)
+
+
+class TestTensorObjective:
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_dense_route(self, n, family):
+        # u = eps / 2; the rows are unit vectors, |T[k]| <= 1 and every
+        # correlator has modulus <= 1, so sum_k prod_p |n_p[k_p]| <= 3**(N/2)
+        # <= 2**N.  Tensor route, per unit of sum|c|: T entries off by
+        # (2**N + 2) u (see ghz_tensor_tol), row entries by 3 u and the N
+        # contraction steps by 3N roundings per term, then 2**N u for the
+        # final dot: at most (2**N + 3 + 6N) 2**N u.  Dense route: the oracle
+        # matrix is off by 4 N u per entry (TestRealize in
+        # test_polynomials.py), and <psi|O|psi> sums 4**N products with
+        # sum_ij |psi_i psi_j| <= 2**N: at most (4N + 2**(N+1) + 4) 2**N u.
+        # Together (3 2**N + 10N + 7) 2**N u.
+        per_unit = (3 * 2**n + 10 * n + 7) * 2**n * UNIT_ROUNDOFF
+        gen = np.random.default_rng(6600 + n)
+        params = gen.uniform(0.0, 2.0 * math.pi, (2 if family == "planar" else 4) * n)
+        rows = _setting_rows(params, n, family)
+        assert np.allclose(np.linalg.norm(rows, axis=2), 1.0, rtol=0.0, atol=4 * UNIT_ROUNDOFF)
+        scenario = _scenario_from_params(params, n, family)
+        for state in (ghz_state(n), random_states(6700 + n, n)[0]):
+            tensor = pauli_tensor(state)
+            for poly in (svetlichny(n, "-"), svetlichny(n, "+"), mk(n)):
+                got = _tensor_value(tensor, poly.table, rows)
+                want = expectation(state, dense_realize(poly, scenario))
+                assert abs(got - want) <= per_unit * coefficient_weight(poly), (state, poly)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_matches_ghz_closed_form(self, n):
+        gen = np.random.default_rng(6800 + n)
+        params = gen.uniform(0.0, 2.0 * math.pi, 2 * n)
+        rows = _setting_rows(params, n, "planar")
+        scenario = _scenario_from_params(params, n, "planar")
+        tensor = pauli_tensor(ghz_state(n))
+        for poly in (svetlichny(n, "-"), mk(n)):
+            got = _tensor_value(tensor, poly.table, rows)
+            assert abs(got - poly_ghz_value(poly, scenario)) <= ghz_tensor_tol(poly)

@@ -26,6 +26,7 @@ from bellbounds.linalg import (
     covariance_witness,
     jacobi_eigenvalues,
     kron_chain,
+    pauli_tensor,
     product_mean,
     read_state_file,
     reduced_state,
@@ -35,6 +36,7 @@ from bellbounds.rng import SplitMix64
 
 from oracles import (
     dense_covariance_witness,
+    dense_pauli_tensor,
     ghz_planar_correlator,
     numpy_jacobi_eigenvalues,
     random_scenario,
@@ -272,6 +274,40 @@ class TestProductMean:
     def test_rejects_parties_outside_the_state(self, party):
         with pytest.raises(ValueError):
             product_mean(ghz_state(3), {party: SIGMA_X})
+
+
+class TestPauliTensor:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_trace(self, n):
+        # u = eps / 2.  The Pauli strings only permute and rephase psi's
+        # entries, exactly, so each library entry is one complex dot product
+        # of two unit vectors with 2**N entries: off by at most
+        # (2**N + 2) u.  The oracle rounds rho's entries (3 u each) and sums
+        # the 2**N nonzero terms of each trace, at most (2**N + 3) u over
+        # entries of total modulus <= 1.  Together below (2**N + 3) eps.
+        tol = (2**n + 3) * np.finfo(float).eps
+        if n == 1:
+            state = QuantumState.pure(np.array([0.6, 0.8j]))
+        else:
+            state = random_states(4400 + n, n)[0]
+        tensor = pauli_tensor(state)
+        assert tensor.shape == (3,) * n and tensor.dtype == np.float64
+        assert not tensor.flags.writeable
+        gap = np.max(np.abs(tensor - dense_pauli_tensor(state.density_matrix())))
+        assert gap <= tol, gap
+
+    def test_ghz_correlations(self):
+        # <x x x> = 1 and <x y y> = -1 on GHZ_3; z x x maps |000> and
+        # |111> outside the GHZ span, so its mean is 0
+        tensor = pauli_tensor(ghz_state(3))
+        assert tensor[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert tensor[0, 1, 1] == pytest.approx(-1.0, abs=1e-15)
+        assert tensor[2, 0, 0] == 0.0
+
+    def test_rejects_a_mixed_state(self):
+        mixed = random_states(4411, 3)[1]
+        with pytest.raises(ValueError, match="pure"):
+            pauli_tensor(mixed)
 
 
 def seeded_symmetric(rng, size, kind):
