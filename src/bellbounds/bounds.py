@@ -3,7 +3,8 @@
 The refinements replace the flat 2**(N-1) sqrt(2) ceiling with bounds
 driven by measured correlations: one party's local anticommutator (eta)
 for the Svetlichny family, and bipartite cross-setting anticommutators
-(chi) for the odd-N MK family.
+(chi) for the odd-N MK family.  eta reads the scenario's Bloch vectors;
+chi is one batched sum of squares over the stacked 4x4 pair marginals.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .linalg import (
     InvariantViolation,
     QuantumState,
     expectation,
+    _marginals,
     product_mean,
     reduced_state,
 )
@@ -36,47 +38,43 @@ def _clamped(value: float, low: float, high: float, what: str) -> float:
     return min(max(value, low), high)
 
 
-def _reduced(scenario, state: QuantumState, *parties: int) -> QuantumState:
+def _same_parties(scenario, state: QuantumState) -> None:
     if state.n_parties != scenario.n_parties:
         raise ValueError(
             f"state spans {state.n_parties} parties, scenario {scenario.n_parties}"
         )
-    return reduced_state(state, parties)
 
 
 def _pair_operator(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """kron(first, second) for 2x2 factors, without np.kron's call overhead."""
-    return (first[:, None, :, None] * second[None, :, None, :]).reshape(4, 4)
+    """kron(first, second) for stacks of 2x2 factors, over their leading axes."""
+    product = first[..., :, None, :, None] * second[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
-def _mean_square(state: QuantumState, operator: np.ndarray) -> float:
-    """<operator**2> = Tr(O rho O^dagger) on a reduced (mixed) state."""
-    return float(np.real(np.vdot(operator, operator @ state.density)))
-
-
-def _anticommutator_mean(
-    state: QuantumState, first: np.ndarray, second: np.ndarray
-) -> float:
-    """<{first, second}> for operators that square to the identity.
-
-    Uses {P, Q} = (P + Q)**2 - 2 = 2 - (P - Q)**2 and keeps whichever
-    sum-of-squares branch is small, so the error stays quadratic near
-    both extremes and the values -2 and +2 are reached exactly instead
-    of stalling an ulp inside, which the bounds' square roots would
-    amplify to ~1e-8.
-    """
-    square_sum = _mean_square(state, first + second)
-    square_diff = _mean_square(state, first - second)
-    if square_sum <= square_diff:
-        return square_sum - 2.0
-    return 2.0 - square_diff
+def _bloch(local: np.ndarray) -> tuple:
+    """(a0, (ax, ay, az)) of a Hermitian 2x2 local a0 I + a.sigma."""
+    (top, upper), (lower, bottom) = local.tolist()
+    return (top.real + bottom.real) / 2.0, (upper.real, lower.imag, (top.real - bottom.real) / 2.0)
 
 
 def eta(scenario: MeasurementScenario, state: QuantumState, party: int) -> float:
-    """(<{A0, A1}>/2)**2 on one party's 2x2 reduced state, clamped to [0, 1]."""
-    first, second = (scenario.observable(party, s).local for s in (0, 1))
-    local = _reduced(scenario, state, party)
-    half_mean = 0.5 * _anticommutator_mean(local, first, second)
+    """(<{A, C}>/2)**2 for one party's settings A = a0 I + a.sigma and C = c0 I + c.sigma.
+
+    <{A, C}>/2 = a.c - a0 c0 + a0 <C> + c0 <A>, with 2 a.c read by the
+    sum-of-squares branch of _chis on |a +- c|**2 and |a|**2 + |c|**2 =
+    2 - a0**2 - c0**2, then clamped to [0, 1].  Traceless locals give
+    (a.c)**2 on every state; only a +-I local reads the party's marginal.
+    """
+    locals_ = [scenario.observable(party, s).local for s in (0, 1)]
+    _same_parties(scenario, state)
+    (a0, a), (c0, c) = map(_bloch, locals_)
+    square_sum, square_diff = (sum((x + sign * y) ** 2 for x, y in zip(a, c)) for sign in (1, -1))
+    norms = 2.0 - a0 * a0 - c0 * c0
+    twice_dot = square_sum - norms if square_sum <= square_diff else norms - square_diff
+    half_mean = 0.5 * twice_dot - a0 * c0
+    if a0 or c0:
+        rho_p = reduced_state(state, (party,))
+        half_mean += a0 * expectation(rho_p, locals_[1]) + c0 * expectation(rho_p, locals_[0])
     return _clamped(half_mean * half_mean, 0.0, 1.0, f"eta({party})")
 
 
@@ -89,25 +87,43 @@ def svetlichny_bound(n_parties: int, eta_value: float) -> float:
     return 2.0 ** (n_parties - 1) * math.sqrt(1.0 + math.sqrt(1.0 - eta_value))
 
 
+def _chis(scenario, state: QuantumState, pairs) -> np.ndarray:
+    """(chi+, chi-) of each listed pair (n, m) as a (P, 2) array, clamped to [-2, 2].
+
+    chi+ pairs P = A0(n)A1(m) with Q = A1(n)A0(m); chi- pairs A0(n)A0(m)
+    with A1(n)A1(m).  Both square to the identity, so <{P, Q}> =
+    <(P + Q)**2> - 2 = 2 - <(P - Q)**2>, with <S**2> = Re Tr(S rho S^dagger)
+    on the stacked pair marginals, one batched pass for every pair and sign.
+    Keeping the smaller square holds the error quadratic near both extremes,
+    so -2 and +2 are reached exactly instead of an ulp inside, which the
+    bounds' square roots would amplify to ~1e-8.
+    """
+    _same_parties(scenario, state)
+    locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
+    an, am = (locals_[[pair[i] - 1 for pair in pairs]] for i in (0, 1))
+    first = _pair_operator(an[:, [0, 0]], am[:, [1, 0]])  # '+' crosses the settings of m
+    second = _pair_operator(an[:, [1, 1]], am[:, [0, 1]])
+    density = _marginals(state, pairs)[:, None]
+    square_sum, square_diff = (
+        np.einsum("...ij,...ij->...", op.conj(), op @ density).real
+        for op in (first + second, first - second)
+    )
+    values = np.where(square_sum <= square_diff, square_sum - 2.0, 2.0 - square_diff)
+    for index, sign in np.argwhere(~(np.abs(values) <= 2.0 + CLAMP_TOL))[:1]:  # raises; NaN too
+        _clamped(float(values[index, sign]), -2.0, 2.0, f"chi{'+-'[sign]}{pairs[index]}")
+    return np.clip(values, -2.0, 2.0)
+
+
 def chi(
     scenario: MeasurementScenario, state: QuantumState, n: int, m: int
 ) -> tuple[float, float]:
     """(chi+, chi-): bipartite cross-setting anticommutator means, clamped to [-2, 2].
 
-    chi+ pairs A0(n)A1(m) with A1(n)A0(m); chi- pairs A0(n)A0(m) with
-    A1(n)A1(m).  The products square to the identity, so each mean over the
-    pair's 4x4 reduced state, taken once for both, uses
-    _anticommutator_mean's sum of squares.
+    The stacked kernel of best_mk_bound, on the one pair (n, m).
     """
-    an, am = ([scenario.observable(p, s).local for s in (0, 1)] for p in (n, m))
-    pair = _reduced(scenario, state, n, m)
-    values = []
-    for sign, cross in (("+", 1), ("-", 0)):  # '+' crosses the settings of m
-        first = _pair_operator(an[0], am[cross])
-        second = _pair_operator(an[1], am[1 - cross])
-        value = _anticommutator_mean(pair, first, second)
-        values.append(_clamped(value, -2.0, 2.0, f"chi{sign}({n},{m})"))
-    return values[0], values[1]
+    if n == m or not all(1 <= p <= scenario.n_parties for p in (n, m)):
+        raise ValueError(f"need two distinct parties in 1..{scenario.n_parties}, got {n}, {m}")
+    return tuple(_chis(scenario, state, [(n, m)])[0].tolist())
 
 
 def mk_bound_odd(n_parties: int, chi_plus: float, chi_minus: float) -> float:
@@ -201,8 +217,8 @@ def best_mk_bound(scenario: MeasurementScenario, state: QuantumState) -> BoundRe
 
     chi+-(n, m) and chi+-(m, n) are means of the same two operators, so each
     of the N(N-1)/2 unordered pairs is scanned once, as (n, m) with n < m,
-    by one chi call that reads both signs from the pair's reduced state;
-    ties keep the lexicographically first pair.  Even N has no chi
+    in one stacked pass that reads both signs of every pair from its
+    marginal; ties keep the lexicographically first pair.  Even N has no chi
     refinement here (its MK operator is a signed Svetlichny operator, so the
     eta path applies instead).
     """
@@ -210,7 +226,7 @@ def best_mk_bound(scenario: MeasurementScenario, state: QuantumState) -> BoundRe
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd party count >= 3, got {n}")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    chis = [chi(scenario, state, first, second) for first, second in pairs]
+    chis = _chis(scenario, state, pairs).tolist()
     values = [mk_bound_odd(n, *pair_chis) for pair_chis in chis]
     best = values.index(min(values))
     return BoundReport(
@@ -242,7 +258,8 @@ def classical_pair_report(
         scenario.observable(p, 0).local @ scenario.observable(p, 1).local
         for p in (n, m)
     )
-    pair = _reduced(scenario, state, n, m)
+    _same_parties(scenario, state)
+    pair = reduced_state(state, (n, m))
     value = expectation(pair, _pair_operator(local_n, local_m))
     quad = _clamped(value, -1.0, 1.0, f"quad_corr({n},{m})")
     return BoundReport(

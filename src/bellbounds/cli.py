@@ -134,6 +134,8 @@ def _run_verify(args) -> int:
     sys.stderr.write(
         f"worst_slack_covariance_distinct={report.worst_slack_covariance_distinct:.15g}\n"
     )
+    for check, (trial, n, seed) in sorted(report.witnesses.items()):
+        sys.stderr.write(f"witness_{check} trial={trial} n={n} seed={seed}\n")
     return 0 if report.violations == 0 else 1
 
 

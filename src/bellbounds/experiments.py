@@ -217,8 +217,10 @@ class HarnessReport:
     worst_slack_covariance_distinct is the worst covariance slack over the
     draws whose B_i and B_j settings differ (+inf when there was none):
     a draw with B_i = B_j has both sides 0 at m = 1, which pins
-    worst_slack_covariance at 0.  It is left out of to_text, so the
-    verify report on stdout keeps its lines.
+    worst_slack_covariance at 0.  witnesses maps each check to the
+    (trial, N, stream state S at its first draw) of its worst margin, the
+    first on ties; verify_bounds_random(S, 1, N, N) replays that trial.
+    Both stay out of to_text, so the verify stdout keeps its lines.
     """
 
     trials: int
@@ -228,6 +230,7 @@ class HarnessReport:
     worst_slack_covariance_distinct: float
     worst_psd_eigen: float
     violations: int
+    witnesses: dict
 
     def to_text(self) -> str:
         return (
@@ -249,13 +252,13 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     then one setting per block party, in party order, for the X-side
     blocks B_i, B_j (on X) and C (on Y), then for the Y-side blocks
     B_i, B_j (on Y) and C (on X).  Checked per trial: both Svetlichny
-    parities against the eta-refined bound, odd-N MK against the
-    chi-refined bound, the two-block inequalities on the random
-    bipartition (both sides; one covariance_inequality call per side
-    gives both parities of m), evaluated on the drawn per-party
-    observables, and positive semidefiniteness of the covariance matrix
-    of all 2N scenario observables' validated 2x2 locals, read from their
-    1- and 2-party reduced states.
+    parities against the eta-refined bound (eta from the scenario alone),
+    odd-N MK against the chi-refined bound (one stacked pass over the pair
+    marginals), the two-block inequalities on the random bipartition (one
+    covariance_inequality call per side gives both parities of m), and
+    positive semidefiniteness of the covariance matrix of the 2N scenario
+    observables, contracted from the stacked 1- and 2-party marginals.
+    Each worst margin keeps its trial's witness (see HarnessReport).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -265,11 +268,12 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     span = n_max - n_min + 1
     svet_polys = {n: (svetlichny(n, "+"), svetlichny(n, "-")) for n in range(n_min, n_max + 1)}
     mk_polys = {n: mk(n) for n in range(n_min, n_max + 1) if n % 2 and n >= 3}
-    worst = dict.fromkeys(("svetlichny", "mk", "covariance", "psd"), math.inf)
-    worst_distinct = math.inf  # covariance slack over draws with B_i != B_j
+    worst = dict.fromkeys("svetlichny mk covariance covariance_distinct psd".split(), math.inf)
+    witnesses = {}
     violations = 0
     for trial in range(trials):
         n = n_min + trial % span
+        start = rng.state  # normals come in pairs per trial: none is cached here
         state = _random_state(rng, n)
         family = "planar" if rng.uniform() < 0.5 else "bloch"
         scenario = _random_scenario_from(rng, n, family)
@@ -298,15 +302,17 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
             distinct = [obs.setting for obs in b_i] != [obs.setting for obs in b_j]
             for record in covariance_inequality(state, b_i, b_j, c_op):
                 margins.append(("covariance", record.slack, HARNESS_SLACK_TOL))
-                if distinct:
-                    worst_distinct = min(worst_distinct, record.slack)
+                if distinct:  # a diagnostic view of the same slack: never a violation
+                    margins.append(("covariance_distinct", record.slack, math.inf))
 
         witness = covariance_witness(state, scenario)
         smallest = float(jacobi_eigenvalues(witness.c)[0])
         margins.append(("psd", smallest, HARNESS_PSD_TOL))
 
         for check, margin, tolerance in margins:
-            worst[check] = min(worst[check], margin)
+            if margin < worst[check]:
+                worst[check] = margin
+                witnesses[check] = (trial, n, start)
             if margin < -tolerance:
                 violations += 1
     return HarnessReport(
@@ -314,9 +320,10 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
         worst_slack_svetlichny=worst["svetlichny"],
         worst_slack_mk=worst["mk"],
         worst_slack_covariance=worst["covariance"],
-        worst_slack_covariance_distinct=worst_distinct,
+        worst_slack_covariance_distinct=worst["covariance_distinct"],
         worst_psd_eigen=worst["psd"],
         violations=violations,
+        witnesses=witnesses,
     )
 
 

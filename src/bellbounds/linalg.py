@@ -155,24 +155,38 @@ def ghz_state(n_parties: int) -> QuantumState:
     return QuantumState.pure(amps)
 
 
+def _marginals(state: QuantumState, parties) -> np.ndarray:
+    """(len(parties), 2**k, 2**k) stack of partial traces onto each tuple of
+    k distinct 1-based parties, kept in its order; neither symmetrized nor
+    validated.  psi psi^H after moving psi's kept axes first (pure), or one
+    einsum tracing rho's row and column axes in place (mixed): O(2**(N+k))."""
+    n = state.n_parties
+    size = 1 << len(parties[0])
+    out = np.empty((len(parties), size, size), dtype=complex)
+    for index, keep in enumerate(parties):
+        kept = [party - 1 for party in keep]
+        if state.kind == "pure":
+            order = kept + [p for p in range(n) if p not in kept]
+            psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(size, -1)
+            out[index] = psi @ psi.conj().T
+        else:  # a traced party's row and column axes share one label
+            cols = [n + p if p in kept else p for p in range(n)]
+            rho = state.density.reshape((2,) * (2 * n))
+            marginal = np.einsum(rho, [*range(n), *cols], kept + [n + p for p in kept])
+            out[index] = marginal.reshape(size, size)
+    return out
+
+
 def reduced_state(state: QuantumState, parties) -> QuantumState:
     """Partial trace onto the listed parties (1-based), kept in the given order.
 
-    The input is already validated, so the result is only symmetrized and frozen.
+    The validated wrapper of ``_marginals``: the party list is checked and
+    the marginal symmetrized and frozen.
     """
-    n = state.n_parties
-    keep = [party - 1 for party in parties]
-    if not keep or len(set(keep)) != len(keep) or not all(0 <= p < n for p in keep):
-        raise ValueError(f"parties {tuple(parties)} must be distinct and in 1..{n}")
-    order = keep + [p for p in range(n) if p not in keep]
-    kept, traced = 1 << len(keep), 1 << (n - len(keep))
-    if state.kind == "pure":
-        psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(kept, traced)
-        rho = psi @ psi.conj().T
-    else:
-        tensor = state.density.reshape((2,) * (2 * n))
-        tensor = tensor.transpose(order + [n + p for p in order])
-        rho = np.einsum("ajbj->ab", tensor.reshape(kept, traced, kept, traced))
+    keep, n = tuple(parties), state.n_parties
+    if not keep or len(set(keep)) != len(keep) or not all(1 <= p <= n for p in keep):
+        raise ValueError(f"parties {keep} must be distinct and in 1..{n}")
+    rho = _marginals(state, [keep])[0]
     rho = (rho + rho.conj().T) / 2.0
     rho.setflags(write=False)
     return QuantumState(len(keep), "mixed", None, rho)
@@ -346,27 +360,27 @@ class CovarianceWitness:
 def covariance_witness(state: QuantumState, scenario) -> CovarianceWitness:
     """M, V, C for the 2N observables of a scenario on the same N parties.
 
-    Observable i = 2 (p - 1) + s is party p's setting-s local.  Every entry
-    is read from a 1- or 2-party reduced state, each taken once:
-    ``v[i] = Tr(rho_p O_i)``, ``m[i, j] = Re Tr(rho_p O_i O_j)`` when both
-    observables sit on party p, and ``Re Tr(rho_pq (O_i x O_j))`` otherwise.
-    That is N + N (N - 1) / 2 partial traces, each O(2**N) work on a pure
-    state and O(4**N) on a mixed one, and no full-space operator.
+    Observable i = 2 (p - 1) + s is party p's setting-s local.  The stacked
+    1- and 2-party marginals, each taken once, give ``v[i] = Tr(rho_p O_i)``,
+    ``m[i, j] = Re Tr(rho_p O_i O_j)`` on one party and
+    ``Re Tr(rho_pq (O_i x O_j))`` across two, one batched einsum per stack:
+    N + N (N - 1) / 2 marginals of O(2**N) work, and no full-space operator.
     """
     n = scenario.n_parties
     if state.n_parties != n:
         raise ValueError(f"state spans {state.n_parties} parties, scenario {n}")
     locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
-    v_complex = np.empty((n, 2), dtype=complex)
+    singles = _marginals(state, [(p,) for p in range(1, n + 1)])
+    v_complex = np.einsum("pxy,piyx->pi", singles, locals_)
     m = np.empty((n, 2, n, 2))  # m[p, s, q, t] is entry (2 p + s, 2 q + t)
-    for p in range(n):
-        rho = reduced_state(state, (p + 1,)).density
-        v_complex[p] = np.einsum("xy,iyx->i", rho, locals_[p])
-        m[p, :, p] = np.einsum("xy,iyz,jzx->ij", rho, locals_[p], locals_[p]).real
-    for p, q in itertools.combinations(range(n), 2):
-        # rho[x y, z w] with x, z on p: Tr(rho (A x B)) = sum rho A[z, x] B[w, y]
-        rho = reduced_state(state, (p + 1, q + 1)).density.reshape(2, 2, 2, 2)
-        m[p, :, q] = np.einsum("xyzw,izx,jwy->ij", rho, locals_[p], locals_[q]).real
+    same = np.arange(n)
+    m[same, :, same] = np.einsum("pxy,piyz,pjzx->pij", singles, locals_, locals_).real
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if pairs:  # rho[x y, z w] with x, z on p: Tr(rho (A x B)) = sum rho A[z, x] B[w, y]
+        first, second = np.array(pairs).T - 1
+        rho = _marginals(state, pairs).reshape(-1, 2, 2, 2, 2)
+        cross = np.einsum("Pxyzw,Pizx,Pjwy->Pij", rho, locals_[first], locals_[second])
+        m[first, :, second] = cross.real
     worst_imag = float(np.max(np.abs(v_complex.imag)))
     if worst_imag > IMAG_TOL:
         raise InvariantViolation(f"mean vector keeps imaginary residue {worst_imag:.3e}")

@@ -20,6 +20,10 @@ or Bloch scenario, drawn as the harness draws it.
 ``numpy_jacobi_eigenvalues`` is the library's cyclic Jacobi sweep as it ran
 on a numpy array, row and column slices at a time, kept as the bit-for-bit
 reference for the Python-float sweep in ``linalg.jacobi_eigenvalues``.
+``reduced_state_eta`` and ``marginal_covariance_witness`` compute eta and
+the PSD witness with one validated ``reduced_state`` per marginal and one
+trace per entry, the references for the library's scenario-only ``eta``
+and stacked-marginal ``covariance_witness``.
 ``enumerated_permutation_invariance`` tries all N! party permutations, the
 definition that the library's Hamming-weight rule in
 ``is_permutation_invariant`` is checked against.
@@ -148,6 +152,11 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
+def bloch_vector(local) -> np.ndarray:
+    """(x, y, z) of a traceless Hermitian 2x2 local x X + y Y + z Z."""
+    return np.array([local[0, 1].real, local[1, 0].imag, local[0, 0].real])
+
+
 def dense_block(block, n_parties: int) -> np.ndarray:
     """Kronecker chain of the block's locals at their parties, identity elsewhere."""
     factors = [np.eye(2, dtype=complex)] * n_parties
@@ -183,6 +192,49 @@ def dense_covariance_witness(density, observables):
     ops = [dense_block([obs], n_parties) for obs in observables]
     v = np.array([np.trace(density @ op).real for op in ops])
     m = np.array([[np.trace(density @ a @ b).real for b in ops] for a in ops])
+    return m, v, m - np.outer(v, v)
+
+
+def reduced_state_eta(scenario, state, party) -> float:
+    """(<{A0, A1}>/2)**2 on the party's 2x2 reduced state, clamped to [0, 1].
+
+    <{A0, A1}> = <(A0 + A1)**2> - 2 = 2 - <(A0 - A1)**2>, with <S**2> read as
+    Re Tr(S rho S^dagger) and the smaller square kept.
+    """
+    from bellbounds.linalg import reduced_state
+
+    first, second = (scenario.observable(party, s).local for s in (0, 1))
+    rho = reduced_state(state, (party,)).density
+    square_sum, square_diff = (
+        float(np.real(np.vdot(op, op @ rho))) for op in (first + second, first - second)
+    )
+    anticommutator_mean = square_sum - 2.0 if square_sum <= square_diff else 2.0 - square_diff
+    return min(max((0.5 * anticommutator_mean) ** 2, 0.0), 1.0)
+
+
+def marginal_covariance_witness(state, scenario):
+    """(M, v, C) of the 2N scenario observables, one reduced state at a time.
+
+    v_i = Tr(rho_p O_i) and M_ij = Re Tr(rho_p O_i O_j) on one party,
+    Re Tr(rho_pq (O_i x O_j)) across two, with one validated
+    ``reduced_state`` and one einsum per party and per unordered pair.
+    """
+    from bellbounds.linalg import reduced_state
+
+    n = scenario.n_parties
+    locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
+    v = np.empty((n, 2))
+    m = np.empty((n, 2, n, 2))
+    for p in range(n):
+        rho = reduced_state(state, (p + 1,)).density
+        v[p] = np.einsum("xy,iyx->i", rho, locals_[p]).real
+        m[p, :, p] = np.einsum("xy,iyz,jzx->ij", rho, locals_[p], locals_[p]).real
+    for p, q in itertools.combinations(range(n), 2):
+        rho = reduced_state(state, (p + 1, q + 1)).density.reshape(2, 2, 2, 2)
+        m[p, :, q] = np.einsum("xyzw,izx,jwy->ij", rho, locals_[p], locals_[q]).real
+        m[q, :, p] = m[p, :, q].T
+    m = m.reshape(2 * n, 2 * n)
+    v = v.flatten()
     return m, v, m - np.outer(v, v)
 
 

@@ -28,12 +28,13 @@ from bellbounds import (
     svetlichny,
     svetlichny_bound,
 )
-from bellbounds.linalg import SIGMA_X, SIGMA_Y, reduced_state
+from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y
 from bellbounds.observables import embed_local, planar_observable
 from bellbounds.rng import SplitMix64
 
 from oracles import (
     anticommutator,
+    bloch_vector,
     chi_ghz_pair,
     dense_covariance_inequality,
     eta_from_gap,
@@ -42,6 +43,7 @@ from oracles import (
     ghz_planar_correlator,
     random_scenario,
     random_states,
+    reduced_state_eta,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -102,6 +104,89 @@ class TestEta:
         scenario = ghz3_scenario((0.0, 1.0))
         with pytest.raises(ValueError):
             eta(scenario, ghz_state(3), 4)
+
+    @pytest.mark.parametrize("n_parties", range(1, 9))
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    def test_matches_reduced_state_oracle(self, n_parties, family):
+        # With u = eps / 2, each entry of the reference's 2x2 marginal sums
+        # 2**(N-1) products and is off by at most (2**(N-1) + 3) u.  <S**2>
+        # (S entries <= 2, eight products of S, S and rho per term) gathers
+        # 32 such errors and 64 u of its own: (16 2**N + 160) u.  The half
+        # mean is off by half that, and eta = (half mean)**2 with
+        # |half mean| <= 1 by at most twice the half mean's error.  The
+        # scenario route is within 41 u (test_closed_form_on_bloch_vectors),
+        # so the two differ by (16 2**N + 201) u < 8 (2**N + 16) eps.
+        tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
+        scenario = random_scenario(4300 + n_parties, n_parties, family)
+        for state in random_states(4400 + n_parties, n_parties):
+            for party in range(1, n_parties + 1):
+                want = reduced_state_eta(scenario, state, party)
+                assert abs(eta(scenario, state, party) - want) <= tol
+
+    @pytest.mark.parametrize("n_parties", range(1, 9))
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    def test_closed_form_on_bloch_vectors(self, n_parties, family):
+        # Traceless unit locals a.sigma, c.sigma give eta = (a.c)**2 on
+        # every state and a refined bound 2**(N-1) sqrt(1 + min_p |a x c|).
+        # The route takes 2 a.c from |a +- c|**2 (five roundings on values
+        # <= 4, 20 u) against the exact 2 for |a|**2 + |c|**2 (each unit to
+        # 4 u, 8 u): |half mean - a.c| <= 14 u, so eta is within 29 u of
+        # (a.c)**2 and the direct product (a.c)**2 within 12 u more: 41 u.
+        # Then 1 - eta is within d = 41 u + 12 u (|a x c|**2 from its
+        # rounded components) + 16 u (|a|**2 |c|**2 - (a.c)**2 against
+        # |a x c|**2) of x**2, x = |a x c|, so sqrt(1 - eta) is within
+        # min(sqrt(d), d / x); sqrt(1 + y) halves that, and each of the
+        # bound's three roundings costs u of 2**(N-1) sqrt(2).
+        u = np.finfo(float).eps / 2
+        scenario = random_scenario(4500 + n_parties, n_parties, family)
+        blochs = [[bloch_vector(obs.local) for obs in pair] for pair in scenario.pairs]
+        x = min(float(np.linalg.norm(np.cross(a, c))) for a, c in blochs)
+        d = 69 * u
+        tol = 2.0 ** (n_parties - 1) * (min(math.sqrt(d), d / x) / 2.0 + 6 * u)
+        for state in random_states(4600 + n_parties, n_parties):
+            for party, (a, c) in enumerate(blochs, start=1):
+                assert abs(eta(scenario, state, party) - float(a @ c) ** 2) <= 41 * u
+            if n_parties > 1:
+                want = 2.0 ** (n_parties - 1) * math.sqrt(1.0 + x)
+                assert abs(best_svetlichny_bound(scenario, state).value - want) <= tol
+
+    @pytest.mark.parametrize("n_parties", range(2, 9))
+    def test_parallel_and_antiparallel_settings_are_exact(self, n_parties):
+        # |a - c| = 0 or |a + c| = 0 exactly, so the branch lands on eta = 1
+        # and the bound on 2**(N-1) with no rounding at all.
+        gen = np.random.default_rng(4700 + n_parties)
+        directions = gen.normal(size=(n_parties, 3))
+        scenarios = [
+            MeasurementScenario.bloch([(d, d) for d in directions]),
+            MeasurementScenario.bloch([(d, -d) for d in directions]),
+            MeasurementScenario.planar([(t, t) for t in gen.uniform(-math.pi, math.pi, n_parties)]),
+            MeasurementScenario.planar([(0.0, math.pi)] * n_parties),
+        ]
+        for scenario in scenarios:
+            for state in random_states(4800 + n_parties, n_parties):
+                etas = [eta(scenario, state, p) for p in range(1, n_parties + 1)]
+                assert etas == [1.0] * n_parties
+                assert best_svetlichny_bound(scenario, state).value == 2.0 ** (n_parties - 1)
+
+    @pytest.mark.parametrize("n_parties", range(1, 9))
+    def test_identity_locals_read_the_state(self, n_parties):
+        # A = +-I and C = c.sigma: {A, C}/2 = +-C, so eta = <C>**2 on the
+        # party's marginal; A = +-I and C = +-I give eta = 1.  The
+        # reference's error analysis (test_matches_reduced_state_oracle)
+        # bounds both routes.
+        tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
+        sigma = planar_observable(0.7)
+        pairs = [(ID2, sigma), (sigma, -ID2), (-ID2, ID2), (ID2, ID2)]
+        scenario = MeasurementScenario([pairs[p % 4] for p in range(n_parties)])
+        for state in random_states(4900 + n_parties, n_parties):
+            for party in range(1, n_parties + 1):
+                got = eta(scenario, state, party)
+                assert abs(got - reduced_state_eta(scenario, state, party)) <= tol
+                if party % 4 in (1, 2):
+                    mean = expectation(state, embed_local(sigma, party, n_parties))
+                    assert abs(got - mean * mean) <= tol
+                else:
+                    assert abs(got - 1.0) <= tol
 
 
 class TestClamped:
@@ -303,8 +388,9 @@ def embedded_observables(scenario):
 
 
 class TestReducedRouteMatchesDense:
-    """eta, chi and quad_corr read reduced states; check them against the
-    dense full-space definitions on every party and ordered pair."""
+    """eta reads the scenario, chi and quad_corr read pair marginals; check
+    them against the dense full-space definitions on every party and
+    ordered pair."""
 
     @pytest.mark.parametrize("n_parties", range(2, 8))
     def test_eta_and_chi(self, n_parties):
@@ -315,6 +401,7 @@ class TestReducedRouteMatchesDense:
             for p in parties:
                 half = 0.5 * expectation(state, anticommutator(obs[p, 0], obs[p, 1]))
                 assert abs(eta(scenario, state, p) - min(half * half, 1.0)) < 1e-12
+                assert abs(reduced_state_eta(scenario, state, p) - min(half * half, 1.0)) < 1e-12
             for n, m in ((n, m) for n in parties for m in parties if n != m):
                 for got, ((s0, t0), (s1, t1)) in zip(
                     chi(scenario, state, n, m),
@@ -399,33 +486,42 @@ class TestBestMkBound:
 
     @pytest.mark.parametrize("n_parties", (3, 5, 7))
     def test_scans_each_unordered_pair_once(self, monkeypatch, n_parties):
-        # one chi call per unordered pair, and each reads one pair marginal
-        # for both signs
-        calls, marginals = [], []
+        # one stacked chi pass over the unordered pairs, which reads each
+        # pair marginal once for both signs
+        scans, marginals = [], []
+        stacked_chis, stacked_marginals = bounds._chis, bounds._marginals
 
-        def counting(scenario, state, n, m):
-            calls.append((n, m))
-            return chi(scenario, state, n, m)
+        def counting(scenario, state, pairs):
+            scans.append(list(pairs))
+            return stacked_chis(scenario, state, pairs)
 
         def tracing(state, parties):
-            marginals.append(tuple(parties))
-            return reduced_state(state, parties)
+            marginals.extend(tuple(p) for p in parties)
+            return stacked_marginals(state, parties)
 
-        monkeypatch.setattr(bounds, "chi", counting)
-        monkeypatch.setattr(bounds, "reduced_state", tracing)
+        monkeypatch.setattr(bounds, "_chis", counting)
+        monkeypatch.setattr(bounds, "_marginals", tracing)
         scenario = random_scenario(5300 + n_parties, n_parties, "bloch")
         expected = set(itertools.combinations(range(1, n_parties + 1), 2))
         for state in random_states(5300 + n_parties, n_parties):
-            calls.clear()
+            scans.clear()
             marginals.clear()
             report = best_mk_bound(scenario, state)
-            assert len(calls) == n_parties * (n_parties - 1) // 2
-            assert set(calls) == expected
-            pair_marginals = [parties for parties in marginals if len(parties) == 2]
-            assert len(pair_marginals) == n_parties * (n_parties - 1) // 2
-            assert set(pair_marginals) == expected
+            pairs = [pair for scan in scans for pair in scan]
+            assert len(pairs) == n_parties * (n_parties - 1) // 2
+            assert set(pairs) == expected
+            assert len(marginals) == n_parties * (n_parties - 1) // 2
+            assert set(marginals) == expected
             first, second = report.witness["pair"]
             assert first < second
+
+    def test_ties_keep_the_lexicographically_first_pair(self):
+        # every party has equal settings, so every pair has chi+- = 2 and
+        # the same bound
+        scenario = MeasurementScenario.planar(((0.3, 0.3),) * 5)
+        report = best_mk_bound(scenario, ghz_state(5))
+        assert report.witness["pair"] == (1, 2)
+        assert (report.witness["chi_plus"], report.witness["chi_minus"]) == (2.0, 2.0)
 
     def test_fig3_reference_pair(self):
         scenario = ghz3_scenario((0.0, -math.pi / 4))

@@ -221,7 +221,7 @@ class TestVerifyVerb:
         # the non-degenerate covariance margin is a diagnostic: stderr only
         assert "distinct" not in captured.out
         assert captured.err.startswith("worst_slack_covariance_distinct=")
-        assert float(captured.err.split("=")[1]) >= -1e-9
+        assert float(captured.err.splitlines()[0].split("=")[1]) >= -1e-9
 
     def test_seed_42_stdout_is_pinned(self, capsys):
         # byte for byte, including the Jacobi PSD floor's last digits
@@ -235,6 +235,31 @@ class TestVerifyVerb:
             "worst_psd_eigen=2.80843399266928e-06\n"
             "violations=0\n"
         )
+
+
+    def test_printed_witness_replays_its_margin(self, capsys):
+        argv = ["verify", "--seed", "42", "--trials", "200", "--n-min", "2", "--n-max", "5"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        witnesses = {}
+        for line in captured.err.splitlines()[1:]:
+            name, *fields = line.split()
+            witnesses[name] = dict(field.split("=") for field in fields)
+        assert sorted(witnesses) == [
+            "witness_covariance",
+            "witness_covariance_distinct",
+            "witness_mk",
+            "witness_psd",
+            "witness_svetlichny",
+        ]
+        psd = witnesses["witness_psd"]
+        assert set(psd) == {"trial", "n", "seed"}
+        replay = ["verify", "--seed", psd["seed"], "--trials", "1"]
+        assert run(replay + ["--n-min", psd["n"], "--n-max", psd["n"]]) == 0
+        def psd_line(out):
+            return [row for row in out.splitlines() if row.startswith("worst_psd_eigen=")]
+
+        assert psd_line(capsys.readouterr().out) == psd_line(captured.out)
 
 
 class TestOptimizeVerb:

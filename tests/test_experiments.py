@@ -240,6 +240,36 @@ class TestVerifyBoundsRandom:
         assert min(distinct) == 0.010335360546662425
         assert report.worst_slack_covariance_distinct == min(distinct)
 
+    def test_each_witness_replays_its_margin_alone(self):
+        # the stream state S_t at a worst trial's first draw, with N fixed
+        # to that trial's, reruns exactly that trial
+        report = verify_bounds_random(42, 200, 2, 5)
+        fields = {
+            "svetlichny": "worst_slack_svetlichny",
+            "mk": "worst_slack_mk",
+            "covariance": "worst_slack_covariance",
+            "covariance_distinct": "worst_slack_covariance_distinct",
+            "psd": "worst_psd_eigen",
+        }
+        assert set(report.witnesses) == set(fields)
+        for check, (trial, n, seed) in report.witnesses.items():
+            assert n == 2 + trial % 4
+            replay = verify_bounds_random(seed, 1, n, n)
+            assert getattr(replay, fields[check]) == getattr(report, fields[check]), check
+
+    def test_no_normal_is_cached_at_a_trial_start(self, monkeypatch):
+        # otherwise S_t alone would not fix the trial's draws
+        spares = []
+        draw = experiments._random_state
+
+        def checking(rng, n_parties):
+            spares.append(rng._spare)
+            return draw(rng, n_parties)
+
+        monkeypatch.setattr(experiments, "_random_state", checking)
+        verify_bounds_random(5, 300, 2, 6)
+        assert spares == [None] * 300
+
     def test_mk_slack_absent_without_odd_n_above_two(self):
         report = verify_bounds_random(3, 30, 2, 2)
         assert report.worst_slack_mk == math.inf

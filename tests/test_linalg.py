@@ -38,6 +38,7 @@ from oracles import (
     dense_covariance_witness,
     dense_pauli_tensor,
     ghz_planar_correlator,
+    marginal_covariance_witness,
     numpy_jacobi_eigenvalues,
     random_scenario,
     random_states,
@@ -468,7 +469,7 @@ class TestCovarianceWitness:
         wm = covariance_witness(rho, scenario)
         assert np.max(np.abs(wp.c - wm.c)) < 1e-12
 
-    @pytest.mark.parametrize("n_parties", range(2, 9))
+    @pytest.mark.parametrize("n_parties", range(1, 9))
     @pytest.mark.parametrize("family", ["planar", "bloch"])
     def test_matches_dense_oracle(self, n_parties, family):
         # With u = eps / 2, a sum of n terms is off by at most (n - 1) u times
@@ -488,29 +489,52 @@ class TestCovarianceWitness:
         # dv <= (3 2**N + 30) u and dM <= (5 2**N + 136) u, and
         # C = M - v v^T (|v| <= 1) by dM + 2 dv + 6 u <= (11 2**N + 202) u,
         # inside 8 (2**N + 16) eps = (16 2**N + 256) u.
+        # The same holds for the reference's one-reduced-state-at-a-time
+        # route, which is checked here too.
         tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
         scenario = random_scenario(6100 + n_parties, n_parties, family)
         observables = all_observables(scenario)
         for state in random_states(6200 + n_parties, n_parties):
             got = covariance_witness(state, scenario)
+            reference = marginal_covariance_witness(state, scenario)
             want = dense_covariance_witness(state.density_matrix(), observables)
-            for field, dense in zip((got.m, got.v, got.c), want):
+            for field, marginal, dense in zip((got.m, got.v, got.c), reference, want):
                 assert np.max(np.abs(field - dense)) <= tol
+                assert np.max(np.abs(marginal - dense)) <= tol
+
+    @pytest.mark.parametrize("n_parties", range(1, 9))
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    def test_matches_marginal_oracle(self, n_parties, family):
+        # test_matches_dense_oracle's error analysis puts v within
+        # (2**N + 18) u and M within (2**N + 96) u of the exact values on
+        # any marginal route, this stacked one and the reference's one
+        # reduced state at a time alike.  So the two differ by
+        # dv <= 2 (2**N + 18) u and dM <= 2 (2**N + 96) u, and C by
+        # dM + 2 dv + 6 u = (6 2**N + 270) u, inside 8 (2**N + 16) eps =
+        # (16 2**N + 256) u for every N >= 1.
+        tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
+        scenario = random_scenario(6600 + n_parties, n_parties, family)
+        for state in random_states(6700 + n_parties, n_parties):
+            got = covariance_witness(state, scenario)
+            want = marginal_covariance_witness(state, scenario)
+            for field, marginal in zip((got.m, got.v, got.c), want):
+                assert np.max(np.abs(field - marginal)) <= tol
 
     @pytest.mark.parametrize("n_parties", (2, 3, 5))
     def test_reads_each_marginal_once(self, monkeypatch, n_parties):
-        # one reduced state per party and per unordered pair, and no
-        # full-space product mean
+        # one marginal per party and per unordered pair, and no full-space
+        # product mean
         marginals = []
+        stacked = linalg._marginals
 
         def tracing(state, parties):
-            marginals.append(tuple(parties))
-            return reduced_state(state, parties)
+            marginals.extend(tuple(p) for p in parties)
+            return stacked(state, parties)
 
         def forbidden(state, factors):
             raise AssertionError("covariance_witness called product_mean")
 
-        monkeypatch.setattr(linalg, "reduced_state", tracing)
+        monkeypatch.setattr(linalg, "_marginals", tracing)
         monkeypatch.setattr(linalg, "product_mean", forbidden)
         scenario = random_scenario(6400 + n_parties, n_parties, "bloch")
         parties = range(1, n_parties + 1)
