@@ -99,8 +99,7 @@ def _chis(scenario, state: QuantumState, pairs) -> np.ndarray:
     bounds' square roots would amplify to ~1e-8.
     """
     _same_parties(scenario, state)
-    locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
-    an, am = (locals_[[pair[i] - 1 for pair in pairs]] for i in (0, 1))
+    an, am = (scenario.locals[[pair[i] - 1 for pair in pairs]] for i in (0, 1))
     first = _pair_operator(an[:, [0, 0]], am[:, [1, 0]])  # '+' crosses the settings of m
     second = _pair_operator(an[:, [1, 1]], am[:, [0, 1]])
     density = _marginals(state, pairs)[:, None]

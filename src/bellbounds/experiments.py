@@ -7,9 +7,10 @@ constant for the optimizer's multistarts).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +34,11 @@ SWEEP_SLACK_TOL = 1e-9
 HARNESS_SLACK_TOL = 1e-9
 HARNESS_PSD_TOL = 1e-10
 NELDER_MEAD_STEP = 0.5  # offset of each initial simplex vertex from the start
+LIVE_SEARCHES = 8  # most multistarts in one lockstep batch: bounds its memory
+# One tensor contraction pass takes as many points as this many bytes hold
+# Pauli tensors (one core's 2 MiB L2 cache on the machine it was timed on):
+# past that, a pass's intermediates spill and each point got slower (N >= 10).
+_PASS_BYTES = 2 << 20
 
 _SEARCH_SEED = 0x5EED  # fixed multistart stream; OptimizerConfig carries no seed
 
@@ -374,7 +380,8 @@ class OptimizationResult:
 
 
 def _setting_rows(params, n_parties: int, family: str) -> np.ndarray:
-    """(N, 2, 3) unit Bloch vectors of each party's two settings.
+    """(B, N, 2, 3) unit Bloch vectors of each party's two settings, for
+    each row of the (B, dims) ``params``.
 
     Planar params are (theta0, theta1) per party, each giving
     (cos theta, sin theta, 0); bloch params are (polar, azimuth) per
@@ -382,14 +389,14 @@ def _setting_rows(params, n_parties: int, family: str) -> np.ndarray:
     cos polar).
     """
     if family == "planar":
-        theta = np.reshape(params, (n_parties, 2))
-        rows = np.zeros((n_parties, 2, 3))
+        theta = np.reshape(params, (-1, n_parties, 2))
+        rows = np.zeros(theta.shape + (3,))
         rows[..., 0] = np.cos(theta)
         rows[..., 1] = np.sin(theta)
         return rows
-    angles = np.reshape(params, (n_parties, 2, 2))
+    angles = np.reshape(params, (-1, n_parties, 2, 2))
     polar, azimuth = angles[..., 0], angles[..., 1]
-    rows = np.empty((n_parties, 2, 3))
+    rows = np.empty(polar.shape + (3,))
     sin_polar = np.sin(polar)
     rows[..., 0] = sin_polar * np.cos(azimuth)
     rows[..., 1] = sin_polar * np.sin(azimuth)
@@ -397,38 +404,45 @@ def _setting_rows(params, n_parties: int, family: str) -> np.ndarray:
     return rows
 
 
-def _tensor_value(tensor: np.ndarray, table: np.ndarray, rows: np.ndarray) -> float:
-    """sum_s table[s] sum_k tensor[k] prod_p rows[p, s_p, k_p].
+def _tensor_value(tensor: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(B,) values sum_s table[s] sum_k tensor[k] prod_p rows[b, p, s_p, k_p].
 
     ``tensor`` is a (3,)*N Pauli tensor, ``table`` a (2,)*N coefficient
-    table and ``rows`` the (N, 2, 3) setting rows.  Each party's rows
-    contract its Pauli axis in turn, (S, 3, R) -> (S, 2, R), so its setting
-    axis lands after those of the parties before it: the result runs over
-    the setting words in the table's own order.
+    table and ``rows`` the (B, N, 2, 3) setting rows of B points.  Each
+    party's rows contract its Pauli axis in turn, (B, S, 3, R) ->
+    (B, S, 2, R), one batched matmul for a pass of points, so its setting
+    axis lands after those of the parties before it: each point's result
+    runs over the setting words in the table's own order.  Every point
+    then takes its own dot with the table, so its value does not depend on
+    B.  A pass takes ``_PASS_BYTES // tensor.nbytes`` points (at least
+    one): a whole lockstep batch up to N = 9, 4 at N = 10, one from N = 11.
     """
-    corr = tensor.reshape(1, -1)
-    for party_rows in rows:
-        corr = party_rows @ corr.reshape(-1, 3, corr.shape[-1] // 3)
-    return float(table.ravel() @ corr.ravel())
+    coefficients = table.ravel()
+    per_pass = max(1, _PASS_BYTES // tensor.nbytes)
+    values = []
+    for first in range(0, len(rows), per_pass):
+        points = rows[first:first + per_pass]
+        corr = tensor.reshape(1, -1)
+        for party in range(rows.shape[1]):
+            corr = points[:, party, None] @ corr.reshape(len(corr), -1, 3, corr.shape[-1] // 3)
+        values.extend(coefficients @ point for point in corr.reshape(len(points), -1))
+    return np.array(values)
 
 
 def _scenario_from_params(params, n_parties: int, family: str) -> MeasurementScenario:
     if family == "planar":
         return MeasurementScenario.planar(np.reshape(params, (n_parties, 2)))
-    return MeasurementScenario.bloch(_setting_rows(params, n_parties, family))
+    return MeasurementScenario.bloch(_setting_rows(params, n_parties, family)[0])
 
 
-def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    start: np.ndarray,
-    tol: float,
-    max_evals: int,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize with reflection 1, expansion 2, contraction 0.5, shrink 0.5.
+def _simplex(start: np.ndarray, tol: float, max_evals: int):
+    """One Nelder-Mead search, as a generator: yields each point it needs
+    and is sent that point's value; returns (best point, best value,
+    evaluations used, converged flag).
 
-    Stops when the simplex diameter (max vertex distance to the best, in the
-    max norm) falls below tol, or the evaluation budget is exhausted; returns
-    (best point, best value, evaluations used, converged flag).
+    Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  Stops when the
+    simplex diameter (max vertex distance to the best, in the max norm)
+    falls below tol, or the evaluation budget is exhausted.
     """
     dims = len(start)
     points = np.tile(np.array(start, dtype=float), (dims + 1, 1))
@@ -436,27 +450,27 @@ def nelder_mead(
     values = np.empty(dims + 1)
     evals = 0
     for index in range(dims + 1):
-        values[index] = objective(points[index])
+        values[index] = yield points[index]
         evals += 1
         if evals >= max_evals:
-            first = int(np.argmin(values[:evals]))
+            first = int(values[:evals].argmin())
             return points[first], float(values[first]), evals, False
     while True:
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         points = points[order]
         values = values[order]
-        diameter = float(np.max(np.abs(points[1:] - points[0])))
+        diameter = float(abs(points[1:] - points[0]).max())
         if diameter < tol:
             return points[0], float(values[0]), evals, True
         if evals >= max_evals:
             return points[0], float(values[0]), evals, False
-        centroid = np.mean(points[:-1], axis=0)
+        centroid = np.add.reduce(points[:-1], axis=0) / dims  # np.mean's arithmetic
         reflected = centroid + (centroid - points[-1])
-        f_reflected = objective(reflected)
+        f_reflected = yield reflected
         evals += 1
         if f_reflected < values[0]:
             expanded = centroid + 2.0 * (centroid - points[-1])
-            f_expanded = objective(expanded)
+            f_expanded = yield expanded
             evals += 1
             if f_expanded < f_reflected:
                 points[-1], values[-1] = expanded, f_expanded
@@ -470,7 +484,7 @@ def nelder_mead(
             contracted = centroid + 0.5 * (reflected - centroid)
         else:
             contracted = centroid + 0.5 * (points[-1] - centroid)
-        f_contracted = objective(contracted)
+        f_contracted = yield contracted
         evals += 1
         if f_contracted < min(f_reflected, values[-1]):
             points[-1], values[-1] = contracted, f_contracted
@@ -478,67 +492,106 @@ def nelder_mead(
         best = points[0]
         for index in range(1, dims + 1):
             points[index] = best + 0.5 * (points[index] - best)
-            values[index] = objective(points[index])
+            values[index] = yield points[index]
             evals += 1
             if evals >= max_evals:
-                first = int(np.argmin(values))
+                first = int(values.argmin())
                 return points[first], float(values[first]), evals, False
+
+
+def nelder_mead(
+    objective: Callable[[np.ndarray], np.ndarray],
+    starts: Iterable[np.ndarray],
+    tol: float,
+    max_evals: int,
+) -> list[tuple[np.ndarray, float, int, bool]]:
+    """Minimize from each start by Nelder-Mead, the searches in lockstep.
+
+    ``objective`` maps a (B, dims) stack of points to their (B,) values.
+    Each round stacks the one point that every live search waits on and
+    calls ``objective`` once; a search's trajectory is the one it takes
+    alone (see ``_simplex`` for its steps and exits).  At most
+    ``LIVE_SEARCHES`` searches are live at once, and ``starts`` is read
+    only when one of them ends, so B and the memory it takes stay bounded
+    whatever the number of starts.  Returns one (best point, best value,
+    evaluations used, converged flag) per start, in start order.
+    """
+    pending = enumerate(starts)
+    results = {}
+    live = []  # (start index, search, the point it waits on)
+    while True:
+        for index, start in itertools.islice(pending, LIVE_SEARCHES - len(live)):
+            search = _simplex(start, tol, max_evals)
+            live.append((index, search, next(search)))
+        if not live:
+            return [results[index] for index in range(len(results))]
+        values = objective(np.array([point for _, _, point in live]))
+        waiting = []
+        for (index, search, _), value in zip(live, values.tolist()):
+            try:
+                waiting.append((index, search, search.send(value)))
+            except StopIteration as stop:
+                results[index] = stop.value
+        live = waiting
+
+
+def _objective(config: OptimizerConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """The minimand of ``maximize_violation`` on GHZ_N, for a (B, dims)
+    stack of points: minus |value| of the operator, or minus the gap."""
+    n = config.n_parties
+    state = ghz_state(n)
+    if config.objective == "max-gap":
+
+        def gap(batch: np.ndarray) -> np.ndarray:
+            reports = [
+                best_svetlichny_bound(_scenario_from_params(params, n, config.family), state)
+                for params in batch
+            ]
+            return np.array([-(report.known_tsirelson - report.value) for report in reports])
+
+        return gap
+    table = (svetlichny(n, "-") if config.objective == "max-svetlichny" else mk(n)).table
+    tensor = pauli_tensor(state)
+
+    def value(batch: np.ndarray) -> np.ndarray:
+        return -abs(_tensor_value(tensor, table, _setting_rows(batch, n, config.family)))
+
+    return value
 
 
 def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
     """Multistart Nelder-Mead search on the GHZ_N state.
 
-    Start points are uniform angles from a fixed internal stream, so equal
-    configs always return the same result.  The per-start budget is
-    max_evals // multistarts (at least one simplex worth).
+    Start points are uniform angles from a fixed internal stream, drawn in
+    start order, so equal configs always return the same result.  The
+    per-start budget is max_evals // multistarts (at least one simplex
+    worth).  The starts run in lockstep through one ``nelder_mead`` call,
+    which scores the pending points of all live searches together; each
+    start reaches what it would reach alone.
 
     The state is fixed, so the operator objectives read its Pauli tensor T,
     computed once: a value is sum_s c_s sum_k T[k] prod_p n_p[s_p][k_p]
     over the settings' unit Bloch vectors n_p, contracted one party at a
-    time, with no scenario or 2**N x 2**N operator per evaluation.  The
-    best point is built into a validated scenario once, so the returned
-    angles pass the same checks as any other scenario's.
+    time for the whole batch, with no scenario or 2**N x 2**N operator per
+    evaluation.  'max-gap' builds each point's scenario and refined bound.
+    The best point is built into a validated scenario once, so the
+    returned angles pass the same checks as any other scenario's.
     """
     n = config.n_parties
-    state = ghz_state(n)
-    if config.objective == "max-svetlichny":
-        operator = svetlichny(n, "-")
-    elif config.objective == "max-mk":
-        operator = mk(n)
-    else:
-        operator = None
-    if operator is not None:
-        tensor = pauli_tensor(state)
-
-    def score(params: np.ndarray) -> float:
-        if operator is None:
-            report = best_svetlichny_bound(_scenario_from_params(params, n, config.family), state)
-            return -(report.known_tsirelson - report.value)
-        rows = _setting_rows(params, n, config.family)
-        return -abs(_tensor_value(tensor, operator.table, rows))
-
     dims = (2 if config.family == "planar" else 4) * n
     rng = SplitMix64(_SEARCH_SEED)
     per_start = max(config.max_evals // config.multistarts, dims + 2)
-    best_point = None
-    best_value = math.inf
-    best_converged = False
-    starts = []
-    for _ in range(config.multistarts):
-        start = np.array(
-            [2.0 * math.pi * rng.uniform() for _ in range(dims)], dtype=float
-        )
-        point, value, used, converged = nelder_mead(
-            score, start, tol=config.tol, max_evals=per_start
-        )
-        starts.append((-value, used, converged))
-        if value < best_value:
-            best_point, best_value, best_converged = point, value, converged
+    starts = (
+        np.array([2.0 * math.pi * rng.uniform() for _ in range(dims)], dtype=float)
+        for _ in range(config.multistarts)
+    )
+    searches = nelder_mead(_objective(config), starts, tol=config.tol, max_evals=per_start)
+    best_point, best_value, _, best_converged = min(searches, key=lambda search: search[1])
     _scenario_from_params(best_point, n, config.family)  # the 2x2 checks, once
     return OptimizationResult(
         angles=best_point,
         value=-best_value,
-        evals=sum(used for _, used, _ in starts),
+        evals=sum(used for _, _, used, _ in searches),
         converged=best_converged,
-        starts=tuple(starts),
+        starts=tuple((-value, used, converged) for _, value, used, converged in searches),
     )

@@ -369,7 +369,7 @@ def covariance_witness(state: QuantumState, scenario) -> CovarianceWitness:
     n = scenario.n_parties
     if state.n_parties != n:
         raise ValueError(f"state spans {state.n_parties} parties, scenario {n}")
-    locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
+    locals_ = scenario.locals
     singles = _marginals(state, [(p,) for p in range(1, n + 1)])
     v_complex = np.einsum("pxy,piyx->pi", singles, locals_)
     m = np.empty((n, 2, n, 2))  # m[p, s, q, t] is entry (2 p + s, 2 q + t)

@@ -139,11 +139,14 @@ class MeasurementScenario:
     ``pairs`` gives each party's (setting 0, setting 1) 2x2 locals, party 1
     first.  The scenario builds every observable itself, labelled with the
     party and setting of its slot, so each local is validated once, here.
+    ``locals`` stacks the observables' locals as one read-only (N, 2, 2, 2)
+    complex array, ``locals[p - 1, s]`` being party p's setting s, built
+    once for every stacked contraction that reads the scenario.
     ``angles`` records the per-party (theta0, theta1) pairs when
     :meth:`planar` built the scenario, and is None otherwise.
     """
 
-    __slots__ = ("pairs", "angles")
+    __slots__ = ("pairs", "locals", "angles")
 
     def __init__(self, pairs):
         self.pairs = tuple(
@@ -152,6 +155,8 @@ class MeasurementScenario:
         )
         if not self.pairs:
             raise ValueError("scenario needs at least one party")
+        self.locals = np.array([[obs.local for obs in pair] for pair in self.pairs])
+        self.locals.setflags(write=False)
         self.angles = None
 
     @property

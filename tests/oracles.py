@@ -34,6 +34,10 @@ against.  ``dense_pauli_tensor`` is Tr(rho sigma_k1 x ... x sigma_kN) summed
 entry by entry over rho, with each half's Pauli strings built by Kronecker
 chains, the definition that the library's ``pauli_tensor`` (Paulis applied
 to psi) is checked against.
+``scalar_nelder_mead``, ``point_setting_rows`` and ``point_tensor_value``
+are the optimizer's search and objective as they ran one point per call,
+the bit-for-bit references for the library's lockstep ``nelder_mead`` and
+its batched ``_setting_rows`` and ``_tensor_value``.
 """
 
 import itertools
@@ -375,3 +379,100 @@ def fig3_value(alpha: float) -> float:
 
 def fig3_pair12_bound(alpha: float) -> float:
     return 2.0 * math.sqrt(max(2.0 - 2.0 * math.sin(alpha + math.pi / 4), 0.0))
+
+
+def scalar_nelder_mead(objective, start, tol, max_evals, exits=None):
+    """One Nelder-Mead search, one objective call per point, as the library
+    ran before its searches went into lockstep; returns (best point, best
+    value, evaluations used, converged flag).  When given, ``exits`` gets
+    the exit taken: "simplex", "top" (the budget, at the top of the loop),
+    "shrink" or "converged"."""
+    from bellbounds.experiments import NELDER_MEAD_STEP
+
+    def leave(exit, point, value, converged):
+        if exits is not None:
+            exits.append(exit)
+        return point, float(value), evals, converged
+
+    dims = len(start)
+    points = np.tile(np.array(start, dtype=float), (dims + 1, 1))
+    points[1:][np.diag_indices(dims)] += NELDER_MEAD_STEP
+    values = np.empty(dims + 1)
+    evals = 0
+    for index in range(dims + 1):
+        values[index] = objective(points[index])
+        evals += 1
+        if evals >= max_evals:
+            first = int(np.argmin(values[:evals]))
+            return leave("simplex", points[first], values[first], False)
+    while True:
+        order = np.argsort(values, kind="stable")
+        points = points[order]
+        values = values[order]
+        diameter = float(np.max(np.abs(points[1:] - points[0])))
+        if diameter < tol:
+            return leave("converged", points[0], values[0], True)
+        if evals >= max_evals:
+            return leave("top", points[0], values[0], False)
+        centroid = np.mean(points[:-1], axis=0)
+        reflected = centroid + (centroid - points[-1])
+        f_reflected = objective(reflected)
+        evals += 1
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - points[-1])
+            f_expanded = objective(expanded)
+            evals += 1
+            if f_expanded < f_reflected:
+                points[-1], values[-1] = expanded, f_expanded
+            else:
+                points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-2]:
+            points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-1]:
+            contracted = centroid + 0.5 * (reflected - centroid)
+        else:
+            contracted = centroid + 0.5 * (points[-1] - centroid)
+        f_contracted = objective(contracted)
+        evals += 1
+        if f_contracted < min(f_reflected, values[-1]):
+            points[-1], values[-1] = contracted, f_contracted
+            continue
+        best = points[0]
+        for index in range(1, dims + 1):
+            points[index] = best + 0.5 * (points[index] - best)
+            values[index] = objective(points[index])
+            evals += 1
+            if evals >= max_evals:
+                first = int(np.argmin(values))
+                return leave("shrink", points[first], values[first], False)
+
+
+def point_setting_rows(params, n_parties, family):
+    """(N, 2, 3) unit Bloch vectors of one point's settings: planar
+    (cos theta, sin theta, 0) per angle, bloch (sin polar cos azimuth,
+    sin polar sin azimuth, cos polar) per (polar, azimuth) pair."""
+    if family == "planar":
+        theta = np.reshape(params, (n_parties, 2))
+        rows = np.zeros((n_parties, 2, 3))
+        rows[..., 0] = np.cos(theta)
+        rows[..., 1] = np.sin(theta)
+        return rows
+    angles = np.reshape(params, (n_parties, 2, 2))
+    polar, azimuth = angles[..., 0], angles[..., 1]
+    rows = np.empty((n_parties, 2, 3))
+    sin_polar = np.sin(polar)
+    rows[..., 0] = sin_polar * np.cos(azimuth)
+    rows[..., 1] = sin_polar * np.sin(azimuth)
+    rows[..., 2] = np.cos(polar)
+    return rows
+
+
+def point_tensor_value(tensor, table, rows) -> float:
+    """sum_s table[s] sum_k tensor[k] prod_p rows[p, s_p, k_p] for one
+    point's (N, 2, 3) rows, one party's (2, 3) rows at a time."""
+    corr = tensor.reshape(1, -1)
+    for party_rows in rows:
+        corr = party_rows @ corr.reshape(-1, 3, corr.shape[-1] // 3)
+    return float(table.ravel() @ corr.ravel())

@@ -6,6 +6,7 @@ import pytest
 
 from bellbounds import (
     InvariantViolation,
+    best_svetlichny_bound,
     covariance_inequality,
     expectation,
     experiments,
@@ -15,11 +16,14 @@ from bellbounds import (
     svetlichny,
 )
 from bellbounds.experiments import (
+    LIVE_SEARCHES,
     SWEEP_CSV_HEADER,
+    _SEARCH_SEED,
     HarnessReport,
     OptimizerConfig,
     SweepConfig,
     SweepRow,
+    _objective,
     _scenario_from_params,
     _setting_rows,
     _tensor_value,
@@ -40,8 +44,11 @@ from oracles import (
     fig2_value,
     fig3_pair12_bound,
     fig3_value,
+    point_setting_rows,
+    point_tensor_value,
     poly_ghz_value,
     random_states,
+    scalar_nelder_mead,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -296,23 +303,34 @@ def bowl(x: np.ndarray) -> float:
     return float((x[0] - 1.5) ** 2 + 3.0 * (x[1] + 0.5) ** 2)
 
 
+def bowls(x: np.ndarray) -> np.ndarray:
+    """``bowl`` of each row of a (B, 2) stack."""
+    return (x[:, 0] - 1.5) ** 2 + 3.0 * (x[:, 1] + 0.5) ** 2
+
+
+# Each search runs the library's lockstep driver on the batched bowl, and
+# the scalar reference on the one-point bowl: the two must agree exactly.
+SEARCHES = {
+    "lockstep": lambda start, tol, max_evals: nelder_mead(bowls, [start], tol, max_evals)[0],
+    "scalar": lambda start, tol, max_evals: scalar_nelder_mead(bowl, start, tol, max_evals),
+}
+
+
 class TestNelderMead:
     def test_minimizes_quadratic(self):
-        x, fx, evals, converged = nelder_mead(
-            bowl, np.zeros(2), tol=1e-12, max_evals=5000
-        )
-        assert converged
-        assert fx < 1e-10
-        assert abs(x[0] - 1.5) < 1e-5
-        assert abs(x[1] + 0.5) < 1e-5
-        assert evals <= 5000
+        for name, search in SEARCHES.items():
+            x, fx, evals, converged = search(np.zeros(2), tol=1e-12, max_evals=5000)
+            assert converged, name
+            assert fx < 1e-10
+            assert abs(x[0] - 1.5) < 1e-5
+            assert abs(x[1] + 0.5) < 1e-5
+            assert evals <= 5000
 
     def test_budget_exhaustion_reported(self):
-        x, fx, evals, converged = nelder_mead(
-            bowl, np.zeros(2), tol=1e-300, max_evals=40
-        )
-        assert not converged
-        assert evals <= 40
+        for name, search in SEARCHES.items():
+            x, fx, evals, converged = search(np.zeros(2), tol=1e-300, max_evals=40)
+            assert not converged, name
+            assert evals <= 40
 
     @pytest.mark.parametrize(
         "tol,max_evals,point,value,evals,converged",
@@ -328,17 +346,126 @@ class TestNelderMead:
         ],
     )
     def test_exits_are_pinned(self, tol, max_evals, point, value, evals, converged):
-        x, fx, used, done = nelder_mead(bowl, np.zeros(2), tol=tol, max_evals=max_evals)
-        assert x.tolist() == point
-        assert type(fx) is float and fx == value
-        assert (used, done) == (evals, converged)
+        for name, search in SEARCHES.items():
+            x, fx, used, done = search(np.zeros(2), tol=tol, max_evals=max_evals)
+            assert x.tolist() == point, name
+            assert type(fx) is float and fx == value, name
+            assert (used, done) == (evals, converged), name
 
     def test_handles_one_dimension(self):
-        x, fx, _, converged = nelder_mead(
-            lambda v: float((v[0] - 2.0) ** 2), np.zeros(1), 1e-12, 2000
+        runs = (
+            nelder_mead(lambda v: (v[:, 0] - 2.0) ** 2, [np.zeros(1)], 1e-12, 2000)[0],
+            scalar_nelder_mead(lambda v: float((v[0] - 2.0) ** 2), np.zeros(1), 1e-12, 2000),
         )
-        assert converged
-        assert abs(x[0] - 2.0) < 1e-5
+        for x, fx, _, converged in runs:
+            assert converged
+            assert abs(x[0] - 2.0) < 1e-5
+
+    def test_live_searches_are_bounded(self):
+        # 50 starts: at most LIVE_SEARCHES points per call, and a start is
+        # read only when a search ends, never all of them up front.
+        pulled = []
+        batches = []
+
+        def starts():
+            for index in range(50):
+                pulled.append(index)
+                yield np.full(2, 0.1 * index)
+
+        def objective(batch):
+            batches.append((len(batch), len(pulled)))
+            return bowls(batch)
+
+        results = nelder_mead(objective, starts(), 1e-9, 300)
+        assert len(results) == len(pulled) == 50
+        assert max(size for size, _ in batches) == LIVE_SEARCHES
+        assert batches[0] == (LIVE_SEARCHES, LIVE_SEARCHES)
+        for index, (point, value, evals, converged) in enumerate(results):
+            want = scalar_nelder_mead(bowl, np.full(2, 0.1 * index), 1e-9, 300)
+            assert (point.tolist(), value, evals, converged) == (want[0].tolist(), *want[1:])
+
+    def test_no_starts_give_no_results(self):
+        assert nelder_mead(bowls, [], 1e-9, 100) == []
+
+
+def scalar_objective(config: OptimizerConfig):
+    """The one-point minimand that ``maximize_violation`` searched before its
+    searches went into lockstep, from the one-point references."""
+    n, family = config.n_parties, config.family
+    state = ghz_state(n)
+    if config.objective == "max-gap":
+
+        def gap(params):
+            report = best_svetlichny_bound(_scenario_from_params(params, n, family), state)
+            return -(report.known_tsirelson - report.value)
+
+        return gap
+    poly = svetlichny(n, "-") if config.objective == "max-svetlichny" else mk(n)
+    tensor = pauli_tensor(state)
+    return lambda params: -abs(
+        point_tensor_value(tensor, poly.table, point_setting_rows(params, n, family))
+    )
+
+
+def assert_same_searches(got, starts, objective, tol, max_evals, exits=None):
+    """Each lockstep result equals the scalar run from its start, bit for bit."""
+    assert len(got) == len(starts)
+    for index, (start, result) in enumerate(zip(starts, got)):
+        point, value, evals, converged = scalar_nelder_mead(
+            objective, start, tol, max_evals, exits
+        )
+        assert result[0].tolist() == point.tolist(), index
+        assert type(result[1]) is float and result[1] == value, index
+        assert result[2:] == (evals, converged), index
+
+
+class TestLockstepMatchesScalar:
+    """The lockstep searches take the scalar reference's trajectory, start
+    by start: the same point, value, evaluation count and converged flag,
+    with more starts than ``LIVE_SEARCHES`` and with one."""
+
+    def test_every_exit_on_the_bowl(self):
+        gen = np.random.default_rng(6900)
+        starts = [np.zeros(2), *gen.uniform(-3.0, 3.0, (LIVE_SEARCHES + 2, 2))]
+        exits = []
+        for tol, budgets in ((1e-300, (1, 2, 3, 40, 239, 240, 241)), (1e-12, (5000,))):
+            for max_evals in budgets:
+                for count in (1, len(starts)):
+                    got = nelder_mead(bowls, starts[:count], tol, max_evals)
+                    assert_same_searches(got, starts[:count], bowl, tol, max_evals, exits)
+        assert set(exits) == {"simplex", "top", "shrink", "converged"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    @pytest.mark.parametrize("objective", ["max-svetlichny", "max-mk", "max-gap"])
+    def test_objectives(self, objective, family, n):
+        config = OptimizerConfig(n_parties=n, objective=objective, family=family)
+        batched, scalar = _objective(config), scalar_objective(config)
+        dims = (2 if family == "planar" else 4) * n
+        starts = list(np.random.default_rng(7000 + n).uniform(0.0, 2 * math.pi, (9, dims)))
+        # a budget that ends inside the initial simplex, two that end
+        # mid-search, and one of 120 evaluations per start
+        for max_evals in (dims - 1, 2 * dims + 1, 4 * dims + 3, 120):
+            got = nelder_mead(batched, starts, 1e-9, max_evals)
+            assert_same_searches(got, starts, scalar, 1e-9, max_evals)
+        got = nelder_mead(batched, starts[:1], 1e-9, 120)
+        assert_same_searches(got, starts[:1], scalar, 1e-9, 120)
+
+    @pytest.mark.parametrize("multistarts", [1, LIVE_SEARCHES + 3])
+    def test_maximize_violation(self, multistarts):
+        config = OptimizerConfig(n_parties=3, multistarts=multistarts, max_evals=600 * multistarts)
+        result = maximize_violation(config)
+        rng = SplitMix64(_SEARCH_SEED)
+        objective = scalar_objective(config)
+        runs = []
+        for _ in range(multistarts):
+            start = np.array([2.0 * math.pi * rng.uniform() for _ in range(6)])
+            runs.append(scalar_nelder_mead(objective, start, config.tol, 600))
+        assert result.starts == tuple((-value, used, done) for _, value, used, done in runs)
+        best = min(runs, key=lambda run: run[1])
+        assert result.angles.tolist() == best[0].tolist()
+        assert (result.value, result.converged) == (-best[1], best[3])
+        assert result.evals == sum(run[2] for run in runs)
 
 
 class TestMaximizeViolation:
@@ -423,6 +550,10 @@ class TestMaximizeViolation:
 
 
 class TestTensorObjective:
+    """The batched rows and values of 3 points at once, each held to the
+    dense route and to the one-point reference, which must agree with it
+    bit for bit (the lockstep search's results rest on that)."""
+
     @pytest.mark.parametrize("family", ["planar", "bloch"])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_dense_route(self, n, family):
@@ -438,24 +569,33 @@ class TestTensorObjective:
         # Together (3 2**N + 10N + 7) 2**N u.
         per_unit = (3 * 2**n + 10 * n + 7) * 2**n * UNIT_ROUNDOFF
         gen = np.random.default_rng(6600 + n)
-        params = gen.uniform(0.0, 2.0 * math.pi, (2 if family == "planar" else 4) * n)
-        rows = _setting_rows(params, n, family)
-        assert np.allclose(np.linalg.norm(rows, axis=2), 1.0, rtol=0.0, atol=4 * UNIT_ROUNDOFF)
-        scenario = _scenario_from_params(params, n, family)
+        batch = gen.uniform(0.0, 2.0 * math.pi, (3, (2 if family == "planar" else 4) * n))
+        rows = _setting_rows(batch, n, family)
+        assert rows.shape == (3, n, 2, 3)
+        assert np.allclose(np.linalg.norm(rows, axis=3), 1.0, rtol=0.0, atol=4 * UNIT_ROUNDOFF)
+        for point, point_rows in zip(batch, rows):
+            assert point_rows.tolist() == point_setting_rows(point, n, family).tolist()
+        scenarios = [_scenario_from_params(point, n, family) for point in batch]
         for state in (ghz_state(n), random_states(6700 + n, n)[0]):
             tensor = pauli_tensor(state)
             for poly in (svetlichny(n, "-"), svetlichny(n, "+"), mk(n)):
                 got = _tensor_value(tensor, poly.table, rows)
-                want = expectation(state, dense_realize(poly, scenario))
-                assert abs(got - want) <= per_unit * coefficient_weight(poly), (state, poly)
+                assert got.shape == (3,)
+                for value, point_rows, scenario in zip(got.tolist(), rows, scenarios):
+                    reference = point_tensor_value(tensor, poly.table, point_rows)
+                    assert value == reference, (state, poly)
+                    want = expectation(state, dense_realize(poly, scenario))
+                    assert abs(value - want) <= per_unit * coefficient_weight(poly), (state, poly)
 
     @pytest.mark.parametrize("n", range(7, 13))
     def test_matches_ghz_closed_form(self, n):
         gen = np.random.default_rng(6800 + n)
-        params = gen.uniform(0.0, 2.0 * math.pi, 2 * n)
-        rows = _setting_rows(params, n, "planar")
-        scenario = _scenario_from_params(params, n, "planar")
+        batch = gen.uniform(0.0, 2.0 * math.pi, (2, 2 * n))
+        rows = _setting_rows(batch, n, "planar")
         tensor = pauli_tensor(ghz_state(n))
         for poly in (svetlichny(n, "-"), mk(n)):
             got = _tensor_value(tensor, poly.table, rows)
-            assert abs(got - poly_ghz_value(poly, scenario)) <= ghz_tensor_tol(poly)
+            for value, point, point_rows in zip(got.tolist(), batch, rows):
+                assert value == point_tensor_value(tensor, poly.table, point_rows)
+                scenario = _scenario_from_params(point, n, "planar")
+                assert abs(value - poly_ghz_value(poly, scenario)) <= ghz_tensor_tol(poly)

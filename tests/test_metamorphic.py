@@ -1,11 +1,16 @@
-"""Metamorphic checks of the stacked correlation routes.
+"""Metamorphic checks of the stacked correlation routes and the operator values.
 
 Relabelling the qubits together with the scenario's parties, or applying a
 local unitary U_p to each qubit of the state and U_p A U_p^dagger to each of
 its locals, leaves every correlation unchanged.  So the covariance witness
 follows the relabelling (and keeps its spectrum), both refined bounds keep
 their values, and their witness party or pair moves with the relabelling.
-These guard the axis order of the stacked 1- and 2-party marginals.
+These guard the axis order of the stacked 1- and 2-party marginals.  The
+Svetlichny and MK values are permutation invariant, so they keep their
+values under both moves, through ``realize`` + ``expectation`` and through
+the optimizer's batched Pauli-tensor contraction, whose setting rows turn
+by the SO(3) rotation of U_p; the batch holds N + 1 points, so a batch
+axis read as a party axis shows.
 
 Tolerances, with u = eps / 2.  ``tests/test_linalg.py`` derives that any
 marginal route puts each witness entry within 8 (2**N + 16) eps of the
@@ -16,10 +21,27 @@ party, and each mean by at most 6 u sum |rho_ij| <= 6 u 2**N (3 u for
 psi), so C by 18 u 2**N per party, again within 8 (2**N + 16) eps.  The
 eigenvalues move by at most the spectral norm of the difference, which
 is at most 2N times its largest entry (Weyl).
+
+Operator values, on Haar pure states, per unit of sum |c|: the tensor route
+is within E_T = (2**N + 3 + 6N) 2**N u of the exact value and the dense
+route within E_D = (4N + 2**(N+1) + 4) 2**N u (both derived in
+``tests/test_experiments.py::TestTensorObjective``), so a relabelling,
+which moves the inputs exactly, leaves two values within 2 E.  A rotation
+also moves the inputs.  With d the largest |U_p^dagger U_p - I|, each U_p
+is within d of a unitary W_p (its polar factor), and each party's 2x2
+product adds 6 u, so the rotated psi is within N (d + 6 u) of
+(x W_p) psi, which moves a mean of a norm-1 operator by at most three
+times that.  A rotated local is within 2 d + d**2 of W A W^dagger and
+within 12 u of U A U^dagger entrywise, 24 u in norm; a rotated Bloch row
+is within 6 d + 45 u of its exact turn (R's entries are within 2 d of
+W's rotation and 12 u of their own rounding, each row sum adds 3 u).  A
+correlator moves by at most N e (1 + e)**(N - 1) when each of its N
+factors moves by e in norm.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,10 +52,15 @@ from bellbounds import (
     best_mk_bound,
     best_svetlichny_bound,
     chi,
+    expectation,
+    mk,
+    realize,
+    svetlichny,
 )
-from bellbounds.linalg import covariance_witness
+from bellbounds.experiments import _setting_rows, _tensor_value
+from bellbounds.linalg import covariance_witness, pauli_tensor
 
-from oracles import bloch_vector, random_scenario, random_states
+from oracles import PAULIS, bloch_vector, random_scenario, random_states
 
 U = np.finfo(float).eps / 2
 PARTIES = range(2, 9)
@@ -178,3 +205,115 @@ def test_local_unitaries_keep_the_witness_and_the_bounds(n_parties):
             after = best_mk_bound(rotated_scenario, moved)
             assert abs(after.value - before.value) <= mk_tol(n_parties, scenario, state, e)
             assert after.witness["pair"] == before.witness["pair"]
+
+
+def polys(n_parties):
+    return (svetlichny(n_parties, "+"), svetlichny(n_parties, "-"), mk(n_parties))
+
+
+def weight(poly) -> float:
+    return float(sum(abs(c) for c in poly.terms.values()))
+
+
+def tensor_tol(n_parties) -> float:
+    return ((1 << n_parties) + 3 + 6 * n_parties) * (1 << n_parties) * U
+
+
+def dense_tol(n_parties) -> float:
+    return (4 * n_parties + (2 << n_parties) + 4) * (1 << n_parties) * U
+
+
+def unitarity_defect(unitaries) -> float:
+    return max(float(np.linalg.norm(u.conj().T @ u - np.eye(2), 2)) for u in unitaries)
+
+
+def rotation_tol(n_parties, d, factor) -> float:
+    """What a rotation adds, per unit of sum |c|: the state's share and the
+    share of N factors each off by ``factor`` in norm."""
+    return 3 * n_parties * (d + 6 * U) + n_parties * factor * (1 + factor) ** (n_parties - 1)
+
+
+def so3(unitary) -> np.ndarray:
+    """R with U (n . sigma) U^dagger = (R n) . sigma: R_ij = Tr(s_i U s_j U^dagger) / 2."""
+    paulis = np.array(PAULIS)
+    return np.einsum("iab,bc,jcd,da->ij", paulis, unitary, paulis, unitary.conj().T).real / 2
+
+
+def batch_rows(seed, n_parties):
+    """Bloch setting rows of N + 1 seeded points, (N + 1, N, 2, 3)."""
+    params = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, (n_parties + 1, 4 * n_parties))
+    return _setting_rows(params, n_parties, "bloch")
+
+
+def haar_pure(seed, n_parties):
+    """A Haar pure state alone: ``random_states`` also builds a mixed one,
+    whose 2**N x 2**N density matrix is too large at N = 12."""
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=1 << n_parties) + 1j * gen.normal(size=1 << n_parties)
+    return QuantumState.pure(amps / np.linalg.norm(amps))
+
+
+def tensor_values(state, rows):
+    tensor = pauli_tensor(state)
+    return [_tensor_value(tensor, poly.table, rows) for poly in polys(state.n_parties)]
+
+
+def check_tensor_route_relabelled(n_parties, seed):
+    state = haar_pure(seed, n_parties)
+    perm = [int(p) for p in np.random.default_rng(seed + 1).permutation(n_parties)]
+    moved, _ = permuted(state, random_scenario(seed, n_parties, "bloch"), perm)
+    rows = batch_rows(seed + 2, n_parties)
+    before, after = tensor_values(state, rows), tensor_values(moved, rows[:, perm])
+    for poly, was, now in zip(polys(n_parties), before, after):
+        assert np.max(np.abs(now - was)) <= 2 * tensor_tol(n_parties) * weight(poly)
+
+
+def check_tensor_route_rotated(n_parties, seed):
+    state = haar_pure(seed, n_parties)
+    unitaries = random_unitaries(seed + 1, n_parties)
+    moved, _ = rotated(state, random_scenario(seed, n_parties, "bloch"), unitaries)
+    rows = batch_rows(seed + 2, n_parties)
+    turned = np.einsum("pij,bpsj->bpsi", np.array([so3(u) for u in unitaries]), rows)
+    d = unitarity_defect(unitaries)
+    tol = 2 * tensor_tol(n_parties) + rotation_tol(n_parties, d, 6 * d + 45 * U)
+    before, after = tensor_values(state, rows), tensor_values(moved, turned)
+    for poly, was, now in zip(polys(n_parties), before, after):
+        assert np.max(np.abs(now - was)) <= tol * weight(poly)
+
+
+@pytest.mark.parametrize("n_parties", PARTIES)
+def test_relabelling_keeps_the_operator_values(n_parties):
+    scenario = random_scenario(8100 + n_parties, n_parties, "bloch")
+    perm = [int(p) for p in np.random.default_rng(8200 + n_parties).permutation(n_parties)]
+    state = random_states(8300 + n_parties, n_parties)[0]
+    moved, relabelled = permuted(state, scenario, perm)
+    for poly in polys(n_parties):
+        before = expectation(state, realize(poly, scenario))
+        after = expectation(moved, realize(poly, relabelled))
+        assert abs(after - before) <= 2 * dense_tol(n_parties) * weight(poly)
+    check_tensor_route_relabelled(n_parties, 8400 + n_parties)
+
+
+@pytest.mark.parametrize("n_parties", PARTIES)
+def test_local_unitaries_keep_the_operator_values(n_parties):
+    scenario = random_scenario(8500 + n_parties, n_parties, "bloch")
+    unitaries = random_unitaries(8600 + n_parties, n_parties)
+    state = random_states(8700 + n_parties, n_parties)[0]
+    moved, rotated_scenario = rotated(state, scenario, unitaries)
+    d = unitarity_defect(unitaries)
+    tol = 2 * dense_tol(n_parties) + rotation_tol(n_parties, d, 2 * d + d * d + 24 * U)
+    for poly in polys(n_parties):
+        before = expectation(state, realize(poly, scenario))
+        after = expectation(moved, realize(poly, rotated_scenario))
+        assert abs(after - before) <= tol * weight(poly)
+    check_tensor_route_rotated(n_parties, 8800 + n_parties)
+
+
+def test_twelve_parties_tensor_route_within_budget():
+    # The budget is 10 s.  realize + expectation would build 2**12 x 2**12
+    # operators (a 670 MB peak), so N = 12 runs the tensor route alone:
+    # four Pauli tensors of under 1 s each (one core of a 2-core Intel Xeon).
+    start = time.perf_counter()
+    check_tensor_route_relabelled(12, 8912)
+    check_tensor_route_rotated(12, 8924)
+    assert time.perf_counter() - start < 10.0

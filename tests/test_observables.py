@@ -9,6 +9,7 @@ from bellbounds import (
     FileFormatError,
     InvariantViolation,
     MeasurementScenario,
+    chi,
     write_scenario_file,
 )
 from bellbounds.linalg import (
@@ -16,6 +17,7 @@ from bellbounds.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    covariance_witness,
     expectation,
     ghz_state,
     hermiticity_defect,
@@ -252,6 +254,22 @@ class TestMeasurementScenario:
                 obs = scenario.observable(party, setting)
                 assert (obs.party, obs.setting) == (party, setting)
                 assert np.array_equal(obs.local, local)
+                assert np.array_equal(scenario.locals[party - 1, setting], obs.local)
+        assert scenario.locals.shape == (3, 2, 2, 2)
+        assert not scenario.locals.flags.writeable
+
+    def test_stacked_contractions_read_the_locals_array(self):
+        # a scenario whose array holds another scenario's locals reads as
+        # that scenario in the witness and the chi scan
+        scenario = MeasurementScenario.planar([(0.3 * p, 1.0 - 0.7 * p) for p in range(3)])
+        other = MeasurementScenario.planar([(0.5 - p, 0.2 * p) for p in range(3)])
+        original = covariance_witness(ghz_state(3), scenario).c
+        scenario.locals = other.locals
+        got = covariance_witness(ghz_state(3), scenario).c
+        assert np.array_equal(got, covariance_witness(ghz_state(3), other).c)
+        assert not np.array_equal(got, original)
+        for n, m in ((1, 2), (1, 3), (2, 3)):
+            assert chi(scenario, ghz_state(3), n, m) == chi(other, ghz_state(3), n, m)
 
     def test_rejects_observables_in_place_of_locals(self):
         pair = (DichotomicObservable(SIGMA_X, 1, 0), DichotomicObservable(SIGMA_Y, 1, 1))
