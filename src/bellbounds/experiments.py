@@ -35,10 +35,11 @@ HARNESS_SLACK_TOL = 1e-9
 HARNESS_PSD_TOL = 1e-10
 NELDER_MEAD_STEP = 0.5  # offset of each initial simplex vertex from the start
 LIVE_SEARCHES = 8  # most multistarts in one lockstep batch: bounds its memory
-# One tensor contraction pass takes as many points as this many bytes hold
-# Pauli tensors (one core's 2 MiB L2 cache on the machine it was timed on):
-# past that, a pass's intermediates spill and each point got slower (N >= 10).
-_PASS_BYTES = 2 << 20
+# Up to this many parties one tensor contraction pass takes a round's whole
+# batch; above it, one point per pass.  Timed per point for passes of 1, 2,
+# 4 and 8 points at N = 8..12: the whole batch was fastest up to N = 9, and
+# one point per pass was as fast or faster from N = 10 (README).
+_BATCH_PARTIES = 9
 
 _SEARCH_SEED = 0x5EED  # fixed multistart stream; OptimizerConfig carries no seed
 
@@ -414,11 +415,11 @@ def _tensor_value(tensor: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np
     axis lands after those of the parties before it: each point's result
     runs over the setting words in the table's own order.  Every point
     then takes its own dot with the table, so its value does not depend on
-    B.  A pass takes ``_PASS_BYTES // tensor.nbytes`` points (at least
-    one): a whole lockstep batch up to N = 9, 4 at N = 10, one from N = 11.
+    B.  A pass takes all B points up to ``_BATCH_PARTIES`` parties and one
+    point above it.
     """
     coefficients = table.ravel()
-    per_pass = max(1, _PASS_BYTES // tensor.nbytes)
+    per_pass = max(1, len(rows)) if rows.shape[1] <= _BATCH_PARTIES else 1
     values = []
     for first in range(0, len(rows), per_pass):
         points = rows[first:first + per_pass]
@@ -527,7 +528,7 @@ def nelder_mead(
             return [results[index] for index in range(len(results))]
         values = objective(np.array([point for _, _, point in live]))
         waiting = []
-        for (index, search, _), value in zip(live, values.tolist()):
+        for (index, search, _), value in zip(live, values.tolist(), strict=True):
             try:
                 waiting.append((index, search, search.send(value)))
             except StopIteration as stop:

@@ -387,6 +387,15 @@ class TestNelderMead:
     def test_no_starts_give_no_results(self):
         assert nelder_mead(bowls, [], 1e-9, 100) == []
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_length_objective_raises(self, extra):
+        # One value too few or too many per round: no search may be lost.
+        def objective(batch):
+            return np.resize(bowls(batch), len(batch) + extra)
+
+        with pytest.raises(ValueError):
+            nelder_mead(objective, [np.zeros(2)] * 3, 1e-9, 100)
+
 
 def scalar_objective(config: OptimizerConfig):
     """The one-point minimand that ``maximize_violation`` searched before its
