@@ -5,6 +5,7 @@ driven by measured correlations: one party's local anticommutator (eta)
 for the Svetlichny family, and bipartite cross-setting anticommutators
 (chi) for the odd-N MK family.  eta reads the scenario's Bloch vectors;
 chi is one batched sum of squares over the stacked 4x4 pair marginals.
+eta's +-I branch and quad_corr read the state through those marginals too.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     IMAG_TOL,
     InvariantViolation,
     QuantumState,
-    expectation,
     _marginals,
+    _party_count,
+    _real_part,
+    hermiticity_defect,
     product_mean,
-    reduced_state,
 )
-from .observables import DichotomicObservable, MeasurementScenario
+from .observables import DichotomicObservable, MeasurementScenario, _bloch_form
 
 CLAMP_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
@@ -38,23 +41,10 @@ def _clamped(value: float, low: float, high: float, what: str) -> float:
     return min(max(value, low), high)
 
 
-def _same_parties(scenario, state: QuantumState) -> None:
-    if state.n_parties != scenario.n_parties:
-        raise ValueError(
-            f"state spans {state.n_parties} parties, scenario {scenario.n_parties}"
-        )
-
-
 def _pair_operator(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """kron(first, second) for stacks of 2x2 factors, over their leading axes."""
     product = first[..., :, None, :, None] * second[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (4, 4))
-
-
-def _bloch(local: np.ndarray) -> tuple:
-    """(a0, (ax, ay, az)) of a Hermitian 2x2 local a0 I + a.sigma."""
-    (top, upper), (lower, bottom) = local.tolist()
-    return (top.real + bottom.real) / 2.0, (upper.real, lower.imag, (top.real - bottom.real) / 2.0)
 
 
 def eta(scenario: MeasurementScenario, state: QuantumState, party: int) -> float:
@@ -63,18 +53,20 @@ def eta(scenario: MeasurementScenario, state: QuantumState, party: int) -> float
     <{A, C}>/2 = a.c - a0 c0 + a0 <C> + c0 <A>, with 2 a.c read by the
     sum-of-squares branch of _chis on |a +- c|**2 and |a|**2 + |c|**2 =
     2 - a0**2 - c0**2, then clamped to [0, 1].  Traceless locals give
-    (a.c)**2 on every state; only a +-I local reads the party's marginal.
+    (a.c)**2 on every state; only a +-I local reads the party's 1-party
+    marginal, for <A> and <C> in one einsum.
     """
-    locals_ = [scenario.observable(party, s).local for s in (0, 1)]
-    _same_parties(scenario, state)
-    (a0, a), (c0, c) = map(_bloch, locals_)
+    _party_count(state, scenario, party)
+    locals_ = scenario.locals[party - 1]
+    (a0, a), (c0, c) = map(_bloch_form, locals_.tolist())
     square_sum, square_diff = (sum((x + sign * y) ** 2 for x, y in zip(a, c)) for sign in (1, -1))
     norms = 2.0 - a0 * a0 - c0 * c0
     twice_dot = square_sum - norms if square_sum <= square_diff else norms - square_diff
     half_mean = 0.5 * twice_dot - a0 * c0
     if a0 or c0:
-        rho_p = reduced_state(state, (party,))
-        half_mean += a0 * expectation(rho_p, locals_[1]) + c0 * expectation(rho_p, locals_[0])
+        rho = _marginals(state, [(party,)])[0]
+        means = _real_part(np.einsum("xy,syx->s", rho, locals_), f"eta({party}) means")
+        half_mean += a0 * float(means[1]) + c0 * float(means[0])
     return _clamped(half_mean * half_mean, 0.0, 1.0, f"eta({party})")
 
 
@@ -98,7 +90,7 @@ def _chis(scenario, state: QuantumState, pairs) -> np.ndarray:
     so -2 and +2 are reached exactly instead of an ulp inside, which the
     bounds' square roots would amplify to ~1e-8.
     """
-    _same_parties(scenario, state)
+    _party_count(state, scenario)
     an, am = (scenario.locals[[pair[i] - 1 for pair in pairs]] for i in (0, 1))
     first = _pair_operator(an[:, [0, 0]], am[:, [1, 0]])  # '+' crosses the settings of m
     second = _pair_operator(an[:, [1, 1]], am[:, [0, 1]])
@@ -120,8 +112,7 @@ def chi(
 
     The stacked kernel of best_mk_bound, on the one pair (n, m).
     """
-    if n == m or not all(1 <= p <= scenario.n_parties for p in (n, m)):
-        raise ValueError(f"need two distinct parties in 1..{scenario.n_parties}, got {n}, {m}")
+    _party_count(state, scenario, n, m)
     return tuple(_chis(scenario, state, [(n, m)])[0].tolist())
 
 
@@ -248,19 +239,23 @@ def classical_pair_report(
 ) -> BoundReport:
     """Bound report for a pair whose settings mutually commute.
 
-    quad_corr is <A0(n) A1(n) A0(m) A1(m)>; the product must be Hermitian,
-    which holds exactly when each party's two observables commute.  It is
-    read on the pair's 4x4 reduced state.
+    quad_corr is <A0(n) A1(n) A0(m) A1(m)> on the pair's 2-party marginal.
+    Each party's product A0 A1 must be Hermitian within HERMITIAN_TOL,
+    which holds exactly when its two settings commute; that is checked on
+    the 2x2 locals before the state is read.
     """
-    parties = scenario.n_parties
-    local_n, local_m = (
-        scenario.observable(p, 0).local @ scenario.observable(p, 1).local
-        for p in (n, m)
-    )
-    _same_parties(scenario, state)
-    pair = reduced_state(state, (n, m))
-    value = expectation(pair, _pair_operator(local_n, local_m))
-    quad = _clamped(value, -1.0, 1.0, f"quad_corr({n},{m})")
+    parties = _party_count(state, scenario, n, m)
+    settings = scenario.locals[[n - 1, m - 1]]
+    products = settings[:, 0] @ settings[:, 1]  # A0 A1 of party n, then of m
+    for party, product in zip((n, m), products):
+        defect = hermiticity_defect(product)
+        if defect > HERMITIAN_TOL:
+            raise InvariantViolation(
+                f"party {party}: settings do not commute, A0 A1 has Hermitian defect {defect:.3e}"
+            )
+    rho = _marginals(state, [(n, m)])[0].reshape(2, 2, 2, 2)  # rho[x y, z w], x and z on n
+    value = _real_part(np.einsum("xyzw,zx,wy->", rho, *products), f"quad_corr({n},{m})")
+    quad = _clamped(float(value), -1.0, 1.0, f"quad_corr({n},{m})")
     return BoundReport(
         kind="mk-classical-pair",
         n_parties=parties,

@@ -24,13 +24,7 @@ from .experiments import (
     verify_bounds_random,
     write_sweep_csv,
 )
-from .linalg import (
-    FileFormatError,
-    InvariantViolation,
-    expectation,
-    ghz_state,
-    read_state_file,
-)
+from .linalg import FileFormatError, InvariantViolation, _load_state, expectation
 from .observables import read_scenario_file
 from .polynomials import check_equivalence_even, dump_terms, mk, realize, svetlichny
 
@@ -142,14 +136,7 @@ def _run_verify(args) -> int:
 def _run_bounds(args) -> int:
     scenario = read_scenario_file(args.scenario)
     n = scenario.n_parties
-    if args.state == "ghz":
-        state = ghz_state(n)
-    else:
-        state = read_state_file(args.state)
-        if state.n_parties != n:
-            raise ValueError(
-                f"state spans {state.n_parties} parties, scenario {n}"
-            )
+    state = _load_state(args.state, scenario, "scenario")
     operator = _operator_for(args.operator, n)
     value = expectation(state, realize(operator, scenario))
     lines = [f"operator={args.operator}", f"operator_value={value:.15g}"]

@@ -18,12 +18,12 @@ from .bounds import best_mk_bound, best_svetlichny_bound, covariance_inequality
 from .linalg import (
     InvariantViolation,
     QuantumState,
+    _load_state,
     covariance_witness,
     expectation,
     ghz_state,
     jacobi_eigenvalues,
     pauli_tensor,
-    read_state_file,
 )
 from .observables import MeasurementScenario
 from .polynomials import mk, realize, svetlichny
@@ -106,14 +106,7 @@ def figure_sweep(config: SweepConfig) -> list[SweepRow]:
         operator, best_bound = mk(3), best_mk_bound
     else:
         operator, best_bound = svetlichny(3, "-"), best_svetlichny_bound
-    if config.state == "ghz":
-        state = ghz_state(operator.n_parties)
-    else:
-        state = read_state_file(config.state)
-    if state.n_parties != operator.n_parties:
-        raise ValueError(
-            f"state spans {state.n_parties} parties, operator {operator.n_parties}"
-        )
+    state = _load_state(config.state, operator, "operator")
     rows = []
     for alpha in np.linspace(config.alpha_start, config.alpha_end, config.samples):
         a = float(alpha)

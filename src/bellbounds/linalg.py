@@ -177,19 +177,24 @@ def _marginals(state: QuantumState, parties) -> np.ndarray:
     return out
 
 
-def reduced_state(state: QuantumState, parties) -> QuantumState:
-    """Partial trace onto the listed parties (1-based), kept in the given order.
+def _party_count(state: QuantumState, other, *parties, what: str = "scenario") -> int:
+    """The party count N of ``other`` (a scenario or an operator), after
+    checking that ``state`` spans the same N parties and that the listed
+    1-based parties are distinct and lie in 1..N."""
+    n = other.n_parties
+    if state.n_parties != n:
+        raise ValueError(f"state spans {state.n_parties} parties, {what} {n}")
+    if len({p for p in parties if 1 <= p <= n}) != len(parties):
+        raise ValueError(f"parties {list(parties)} must be distinct and in 1..{n}")
+    return n
 
-    The validated wrapper of ``_marginals``: the party list is checked and
-    the marginal symmetrized and frozen.
-    """
-    keep, n = tuple(parties), state.n_parties
-    if not keep or len(set(keep)) != len(keep) or not all(1 <= p <= n for p in keep):
-        raise ValueError(f"parties {keep} must be distinct and in 1..{n}")
-    rho = _marginals(state, [keep])[0]
-    rho = (rho + rho.conj().T) / 2.0
-    rho.setflags(write=False)
-    return QuantumState(len(keep), "mixed", None, rho)
+
+def _real_part(values, what: str):
+    """The real part of complex means, which may discard at most IMAG_TOL."""
+    worst_imag = float(np.max(np.abs(np.imag(values))))
+    if worst_imag > IMAG_TOL:
+        raise InvariantViolation(f"{what} keeps imaginary residue {worst_imag:.3e}")
+    return np.real(values)
 
 
 def product_mean(state: QuantumState, factors) -> complex:
@@ -268,10 +273,7 @@ def pauli_tensor(state: QuantumState) -> np.ndarray:
 
     half = n // 2
     product = stacked(range(half)).conj() @ stacked(range(half, n)).T
-    worst_imag = float(np.max(np.abs(product.imag)))
-    if worst_imag > IMAG_TOL:
-        raise InvariantViolation(f"Pauli tensor keeps imaginary residue {worst_imag:.3e}")
-    tensor = np.ascontiguousarray(product.real).reshape((3,) * n)
+    tensor = np.ascontiguousarray(_real_part(product, "Pauli tensor")).reshape((3,) * n)
     tensor.setflags(write=False)
     return tensor
 
@@ -366,12 +368,10 @@ def covariance_witness(state: QuantumState, scenario) -> CovarianceWitness:
     ``Re Tr(rho_pq (O_i x O_j))`` across two, one batched einsum per stack:
     N + N (N - 1) / 2 marginals of O(2**N) work, and no full-space operator.
     """
-    n = scenario.n_parties
-    if state.n_parties != n:
-        raise ValueError(f"state spans {state.n_parties} parties, scenario {n}")
+    n = _party_count(state, scenario)
     locals_ = scenario.locals
     singles = _marginals(state, [(p,) for p in range(1, n + 1)])
-    v_complex = np.einsum("pxy,piyx->pi", singles, locals_)
+    v = _real_part(np.einsum("pxy,piyx->pi", singles, locals_), "mean vector").flatten()
     m = np.empty((n, 2, n, 2))  # m[p, s, q, t] is entry (2 p + s, 2 q + t)
     same = np.arange(n)
     m[same, :, same] = np.einsum("pxy,piyz,pjzx->pij", singles, locals_, locals_).real
@@ -381,12 +381,8 @@ def covariance_witness(state: QuantumState, scenario) -> CovarianceWitness:
         rho = _marginals(state, pairs).reshape(-1, 2, 2, 2, 2)
         cross = np.einsum("Pxyzw,Pizx,Pjwy->Pij", rho, locals_[first], locals_[second])
         m[first, :, second] = cross.real
-    worst_imag = float(np.max(np.abs(v_complex.imag)))
-    if worst_imag > IMAG_TOL:
-        raise InvariantViolation(f"mean vector keeps imaginary residue {worst_imag:.3e}")
     m = m.reshape(2 * n, 2 * n)
     m = np.triu(m) + np.triu(m, 1).T  # Re Tr(rho O_i O_j) for i <= j, mirrored
-    v = v_complex.real.flatten()
     c = m - np.outer(v, v)
     for frozen in (m, v, c):
         frozen.setflags(write=False)
@@ -417,6 +413,14 @@ def _data_lines(path, kind: str) -> list[str]:
     if not lines:
         raise FileFormatError(f"empty {kind} file")
     return lines
+
+
+def _load_state(spec: str, other, what: str) -> QuantumState:
+    """GHZ on the parties of ``other`` (a scenario or an operator) for
+    ``"ghz"``, else the state file at path ``spec``, which must span them."""
+    state = ghz_state(other.n_parties) if spec == "ghz" else read_state_file(spec)
+    _party_count(state, other, what=what)
+    return state
 
 
 def read_state_file(path) -> QuantumState:

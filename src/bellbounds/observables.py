@@ -188,14 +188,10 @@ class MeasurementScenario:
         return f"MeasurementScenario(n_parties={self.n_parties}, family={family!r})"
 
 
-def _bloch_components(local) -> list[float]:
-    nx = float(local[0, 1].real)
-    ny = float(local[1, 0].imag)
-    nz = float(local[0, 0].real)
-    rebuilt = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
-    if float(np.max(np.abs(rebuilt - local))) > 1e-10:
-        raise ValueError("local operator is not of the Bloch form n.sigma")
-    return [nx, ny, nz]
+def _bloch_form(local) -> tuple:
+    """(a0, (ax, ay, az)) of a Hermitian 2x2 local a0 I + a.sigma given as nested lists."""
+    (top, upper), (lower, bottom) = local
+    return (top.real + bottom.real) / 2.0, (upper.real, lower.imag, (top.real - bottom.real) / 2.0)
 
 
 def write_scenario_file(scenario: MeasurementScenario, path) -> None:
@@ -206,10 +202,13 @@ def write_scenario_file(scenario: MeasurementScenario, path) -> None:
         lines += [f"{t0!r} {t1!r}" for t0, t1 in scenario.angles]
     else:
         lines = [f"parties {n} family bloch"]
-        for party in range(1, n + 1):
+        for pair in scenario.locals.tolist():
             comps = []
-            for setting in (0, 1):
-                comps.extend(_bloch_components(scenario.observable(party, setting).local))
+            for local in pair:
+                nx, ny, nz = _bloch_form(local)[1]
+                if np.max(np.abs(nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z - local)) > 1e-10:
+                    raise ValueError("local operator is not of the Bloch form n.sigma")
+                comps += [nx, ny, nz]
             lines.append(" ".join(repr(c) for c in comps))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

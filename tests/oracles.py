@@ -20,10 +20,12 @@ or Bloch scenario, drawn as the harness draws it.
 ``numpy_jacobi_eigenvalues`` is the library's cyclic Jacobi sweep as it ran
 on a numpy array, row and column slices at a time, kept as the bit-for-bit
 reference for the Python-float sweep in ``linalg.jacobi_eigenvalues``.
-``reduced_state_eta`` and ``marginal_covariance_witness`` compute eta and
-the PSD witness with one validated ``reduced_state`` per marginal and one
-trace per entry, the references for the library's scenario-only ``eta``
-and stacked-marginal ``covariance_witness``.
+``reduced_state`` is the partial trace of ``state.density_matrix()``
+written out on its own, sharing no code with the library's stacked
+marginals; ``reduced_state_eta`` and ``marginal_covariance_witness``
+compute eta and the PSD witness with one ``reduced_state`` per marginal
+and one trace per entry, the references for the library's ``eta``,
+``classical_pair_report`` and stacked-marginal ``covariance_witness``.
 ``enumerated_permutation_invariance`` tries all N! party permutations, the
 definition that the library's Hamming-weight rule in
 ``is_permutation_invariant`` is checked against.
@@ -199,14 +201,32 @@ def dense_covariance_witness(density, observables):
     return m, v, m - np.outer(v, v)
 
 
+def reduced_state(state, parties):
+    """Partial trace onto the listed parties (1-based), kept in the given order.
+
+    rho's row and column axes are each reordered as (kept, traced) and
+    flattened to (K, T, K, T), and the traced block diagonal summed.  The
+    result is symmetrized and validated as a mixed ``QuantumState``.
+    """
+    from bellbounds import QuantumState
+
+    keep, n = tuple(parties), state.n_parties
+    if not keep or len(set(keep)) != len(keep) or not all(1 <= p <= n for p in keep):
+        raise ValueError(f"parties {keep} must be distinct and in 1..{n}")
+    order = [p - 1 for p in keep] + [p for p in range(n) if p + 1 not in keep]
+    kept, traced = 1 << len(keep), 1 << (n - len(keep))
+    rho = state.density_matrix().reshape((2,) * (2 * n))
+    rho = rho.transpose(order + [n + p for p in order]).reshape(kept, traced, kept, traced)
+    rho = np.trace(rho, axis1=1, axis2=3)
+    return QuantumState.mixed((rho + rho.conj().T) / 2.0)
+
+
 def reduced_state_eta(scenario, state, party) -> float:
     """(<{A0, A1}>/2)**2 on the party's 2x2 reduced state, clamped to [0, 1].
 
     <{A0, A1}> = <(A0 + A1)**2> - 2 = 2 - <(A0 - A1)**2>, with <S**2> read as
     Re Tr(S rho S^dagger) and the smaller square kept.
     """
-    from bellbounds.linalg import reduced_state
-
     first, second = (scenario.observable(party, s).local for s in (0, 1))
     rho = reduced_state(state, (party,)).density
     square_sum, square_diff = (
@@ -223,8 +243,6 @@ def marginal_covariance_witness(state, scenario):
     Re Tr(rho_pq (O_i x O_j)) across two, with one validated
     ``reduced_state`` and one einsum per party and per unordered pair.
     """
-    from bellbounds.linalg import reduced_state
-
     n = scenario.n_parties
     locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
     v = np.empty((n, 2))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -376,6 +377,25 @@ class TestClassicallyCorrelatedPairs:
         assert report.kind == "mk-classical-pair"
         assert -1.0 <= report.witness["quad_corr"] <= 1.0
         assert 2.0 <= report.value <= 2.0 * ROOT2 + 1e-12
+
+    @pytest.mark.parametrize("bad", (1, 3))
+    def test_non_commuting_settings_name_their_party(self, monkeypatch, bad):
+        # A(0) A(1) = cos(1) I - i sin(1) sigma_z has Hermitian defect
+        # 2 sin(1); the 2x2 check names the party before any marginal is read
+        def forbidden(state, parties):
+            raise AssertionError("the state was read")
+
+        monkeypatch.setattr(bounds, "_marginals", forbidden)
+        scenario = MeasurementScenario.planar(
+            [(0.0, 1.0) if party == bad else (0.0, 0.0) for party in (1, 2, 3)]
+        )
+        defect = re.escape(f"{2 * math.sin(1.0):.3e}")
+        for state in (ghz_state(3),) + random_states(5150, 3):
+            with pytest.raises(InvariantViolation, match=f"party {bad}: .*{defect}"):
+                classical_pair_report(scenario, state, 1, 3)
+        everywhere = MeasurementScenario.planar([(0.0, 1.0)] * 3)
+        with pytest.raises(InvariantViolation, match="party 1: settings do not commute"):
+            classical_pair_report(everywhere, ghz_state(3), 1, 2)
 
 
 def embedded_observables(scenario):

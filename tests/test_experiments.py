@@ -36,6 +36,7 @@ from bellbounds.experiments import (
 from bellbounds.linalg import pauli_tensor
 from bellbounds.rng import SplitMix64
 
+from blas_kernel import kernel_pins
 from oracles import (
     dense_realize,
     fig1_party1_bound,
@@ -53,6 +54,36 @@ from oracles import (
 
 ROOT2 = math.sqrt(2.0)
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+# The margins of verify_bounds_random(42, 200, 2, 5) per OpenBLAS kernel,
+# measured as the pins in test_cli.py were.
+_SEED_42_COMMON = {"worst_slack_svetlichny": 0.4261504485157084, "worst_slack_covariance": 0.0}
+HARNESS_MARGIN_PINS = {
+    "SkylakeX": {
+        **_SEED_42_COMMON,
+        "worst_slack_mk": 0.8213839221517241,
+        "worst_slack_covariance_distinct": 0.010335360546662425,
+        "worst_psd_eigen": 2.808433992669277e-06,
+    },
+    "Haswell": {
+        **_SEED_42_COMMON,
+        "worst_slack_mk": 0.8213839221517241,
+        "worst_slack_covariance_distinct": 0.01033536054666884,
+        "worst_psd_eigen": 2.808433992667062e-06,
+    },
+    "Sandybridge": {
+        **_SEED_42_COMMON,
+        "worst_slack_mk": 0.8213839221517242,
+        "worst_slack_covariance_distinct": 0.01033536054666884,
+        "worst_psd_eigen": 2.8084339926662254e-06,
+    },
+    "Katmai": {
+        **_SEED_42_COMMON,
+        "worst_slack_mk": 0.8213839221517243,
+        "worst_slack_covariance_distinct": 0.010335360546668896,
+        "worst_psd_eigen": 2.8084339924557937e-06,
+    },
+}
 
 
 def coefficient_weight(poly) -> float:
@@ -234,17 +265,11 @@ class TestVerifyBoundsRandom:
         monkeypatch.setattr(experiments, "covariance_inequality", recording)
         report = verify_bounds_random(42, 200, 2, 5)
         assert (report.trials, report.violations) == (200, 0)
-        pinned = {
-            "worst_slack_svetlichny": 0.4261504485157084,
-            "worst_slack_mk": 0.8213839221517241,
-            "worst_slack_covariance": 0.0,
-            "worst_slack_covariance_distinct": 0.010335360546662425,
-            "worst_psd_eigen": 2.808433992669277e-06,
-        }
+        pinned = kernel_pins(HARNESS_MARGIN_PINS)
         for name, value in pinned.items():
             assert getattr(report, name) == value, name
         assert len(distinct) == 514
-        assert min(distinct) == 0.010335360546662425
+        assert min(distinct) == pinned["worst_slack_covariance_distinct"]
         assert report.worst_slack_covariance_distinct == min(distinct)
 
     def test_each_witness_replays_its_margin_alone(self):

@@ -29,7 +29,6 @@ from bellbounds.linalg import (
     pauli_tensor,
     product_mean,
     read_state_file,
-    reduced_state,
 )
 from bellbounds.observables import planar_observable
 from bellbounds.rng import SplitMix64
@@ -42,6 +41,7 @@ from oracles import (
     numpy_jacobi_eigenvalues,
     random_scenario,
     random_states,
+    reduced_state,
 )
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -218,6 +218,8 @@ class TestExpectation:
 
 
 class TestReducedState:
+    """The oracle partial trace, the reference for the stacked marginals."""
+
     def random_pure(self, seed, n_parties):
         amps = random_complex(SplitMix64(seed), (1 << n_parties,))
         return QuantumState.pure(amps / np.linalg.norm(amps))
@@ -252,6 +254,19 @@ class TestReducedState:
     def test_rejects_bad_party_lists(self, parties):
         with pytest.raises(ValueError):
             reduced_state(ghz_state(3), parties)
+
+    @pytest.mark.parametrize("n_parties", range(1, 7))
+    def test_matches_the_stacked_marginals(self, n_parties):
+        # Both routes sum 2**(N-k) products per entry, each entry off by at
+        # most (2**(N-k) + 3) u, u = eps / 2, and the oracle's symmetrizing
+        # adds u: together under (2**(N-k) + 4) eps.
+        parties = [(p,) for p in range(1, n_parties + 1)]
+        parties += list(itertools.permutations(range(1, n_parties + 1), 2))
+        for state in random_states(6800 + n_parties, n_parties):
+            for keep in parties:
+                tol = ((1 << (n_parties - len(keep))) + 4) * np.finfo(float).eps
+                got = linalg._marginals(state, [keep])[0]
+                assert np.max(np.abs(got - reduced_state(state, keep).density)) <= tol
 
 
 class TestProductMean:
