@@ -18,8 +18,9 @@ from .bounds import best_mk_bound, best_svetlichny_bound, covariance_inequality
 from .linalg import (
     InvariantViolation,
     QuantumState,
+    _covariance_stack,
     _load_state,
-    covariance_witness,
+    _state_array,
     expectation,
     ghz_state,
     jacobi_eigenvalues,
@@ -33,6 +34,10 @@ SWEEP_CSV_HEADER = "alpha,operator_value,refined_bound,known_tsirelson,classical
 SWEEP_SLACK_TOL = 1e-9
 HARNESS_SLACK_TOL = 1e-9
 HARNESS_PSD_TOL = 1e-10
+# Most trials of one N whose PSD checks wait for one stacked Jacobi call (and
+# one stacked witness call per state kind): bounds the memory the queued
+# states hold.
+PSD_STACK = 64
 NELDER_MEAD_STEP = 0.5  # offset of each initial simplex vertex from the start
 LIVE_SEARCHES = 8  # most multistarts in one lockstep batch: bounds its memory
 # Up to this many parties one tensor contraction pass takes a round's whole
@@ -181,11 +186,7 @@ def _haar_pure(rng: SplitMix64, n_parties: int) -> QuantumState:
     """Haar-random pure state: per amplitude, a real then an imaginary normal."""
     dim = 1 << n_parties
     while True:
-        amps = np.empty(dim, dtype=complex)
-        for index in range(dim):
-            re = rng.normal()
-            im = rng.normal()
-            amps[index] = complex(re, im)
+        amps = np.array([rng.normal() for _ in range(2 * dim)]).view(complex)
         norm = float(np.linalg.norm(amps))
         if norm > 0.0:
             return QuantumState.pure(amps / norm)
@@ -258,7 +259,11 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     covariance_inequality call per side gives both parities of m), and
     positive semidefiniteness of the covariance matrix of the 2N scenario
     observables, contracted from the stacked 1- and 2-party marginals.
-    Each worst margin keeps its trial's witness (see HarnessReport).
+    The PSD checks wait in one queue per N; a full queue (PSD_STACK
+    trials), and each queue at the end, takes one stacked witness call per
+    state kind and one stacked Jacobi call, each smallest eigenvalue the
+    same bit for bit as on its own.  Each worst margin keeps its trial's
+    witness (see HarnessReport).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -271,6 +276,27 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     worst = dict.fromkeys("svetlichny mk covariance covariance_distinct psd".split(), math.inf)
     witnesses = {}
     violations = 0
+    queues = {}  # N -> [(trial, S_t, state kind, amplitudes or density, locals)]
+
+    def psd_check(n, queue):
+        nonlocal violations
+        parts = [[entry for entry in queue if entry[2] == kind] for kind in ("pure", "mixed")]
+        covariances = [
+            _covariance_stack(kind, *(np.stack([entry[i] for entry in part]) for i in (3, 4)))[2]
+            for kind, part in zip(("pure", "mixed"), parts)
+            if part
+        ]
+        smallest = jacobi_eigenvalues(np.concatenate(covariances))[:, 0]
+        for (trial, start, *_), margin in zip(parts[0] + parts[1], smallest.tolist(), strict=True):
+            # queues end out of trial order, so a tie goes to the earlier
+            # trial: the worst margin and its witness of a fold in trial order
+            tie = "psd" in witnesses and margin == worst["psd"] and trial < witnesses["psd"][0]
+            if margin < worst["psd"] or tie:
+                worst["psd"] = margin
+                witnesses["psd"] = (trial, n, start)
+            if margin < -HARNESS_PSD_TOL:
+                violations += 1
+
     for trial in range(trials):
         n = n_min + trial % span
         start = rng.state  # normals come in pairs per trial: none is cached here
@@ -305,9 +331,10 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 if distinct:  # a diagnostic view of the same slack: never a violation
                     margins.append(("covariance_distinct", record.slack, math.inf))
 
-        witness = covariance_witness(state, scenario)
-        smallest = float(jacobi_eigenvalues(witness.c)[0])
-        margins.append(("psd", smallest, HARNESS_PSD_TOL))
+        queue = queues.setdefault(n, [])
+        queue.append((trial, start, state.kind, _state_array(state), scenario.locals))
+        if len(queue) == PSD_STACK:
+            psd_check(n, queues.pop(n))
 
         for check, margin, tolerance in margins:
             if margin < worst[check]:
@@ -315,6 +342,8 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 witnesses[check] = (trial, n, start)
             if margin < -tolerance:
                 violations += 1
+    for n, queue in queues.items():
+        psd_check(n, queue)
     return HarnessReport(
         trials=trials,
         worst_slack_svetlichny=worst["svetlichny"],

@@ -155,25 +155,41 @@ def ghz_state(n_parties: int) -> QuantumState:
     return QuantumState.pure(amps)
 
 
+def _state_array(state: QuantumState) -> np.ndarray:
+    """The amplitude vector of a pure state, the density matrix of a mixed one."""
+    return state.amplitudes if state.kind == "pure" else state.density
+
+
 def _marginals(state: QuantumState, parties) -> np.ndarray:
-    """(len(parties), 2**k, 2**k) stack of partial traces onto each tuple of
-    k distinct 1-based parties, kept in its order; neither symmetrized nor
-    validated.  psi psi^H after moving psi's kept axes first (pure), or one
-    einsum tracing rho's row and column axes in place (mixed): O(2**(N+k))."""
-    n = state.n_parties
+    """The K = 1 case of :func:`_stacked_marginals` for one state."""
+    return _stacked_marginals(state.kind, _state_array(state)[None], parties)[0]
+
+
+def _stacked_marginals(kind: str, states: np.ndarray, parties) -> np.ndarray:
+    """(K, len(parties), 2**k, 2**k) stack of partial traces of K states of
+    one kind, given as a (K, 2**N) amplitude or (K, 2**N, 2**N) density
+    stack, onto each tuple of k distinct 1-based parties, kept in its order;
+    neither symmetrized nor validated.  psi psi^H after moving psi's kept
+    axes first (pure), or one einsum tracing rho's row and column axes in
+    place (mixed): O(2**(N+k)) per state, each state's product or trace the
+    same as on its own."""
+    count = states.shape[0]
+    n = states.shape[-1].bit_length() - 1
     size = 1 << len(parties[0])
-    out = np.empty((len(parties), size, size), dtype=complex)
+    out = np.empty((count, len(parties), size, size), dtype=complex)
     for index, keep in enumerate(parties):
         kept = [party - 1 for party in keep]
-        if state.kind == "pure":
-            order = kept + [p for p in range(n) if p not in kept]
-            psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(size, -1)
-            out[index] = psi @ psi.conj().T
-        else:  # a traced party's row and column axes share one label
+        if kind == "pure":
+            order = [0] + [p + 1 for p in kept + [p for p in range(n) if p not in kept]]
+            psi = states.reshape((count,) + (2,) * n).transpose(order).reshape(count, size, -1)
+            out[:, index] = psi @ psi.conj().transpose(0, 2, 1)
+        else:  # a traced party's row and column axes share one label; 2 N labels the stack
             cols = [n + p if p in kept else p for p in range(n)]
-            rho = state.density.reshape((2,) * (2 * n))
-            marginal = np.einsum(rho, [*range(n), *cols], kept + [n + p for p in kept])
-            out[index] = marginal.reshape(size, size)
+            rho = states.reshape((count,) + (2,) * (2 * n))
+            marginal = np.einsum(
+                rho, [2 * n, *range(n), *cols], [2 * n] + kept + [n + p for p in kept]
+            )
+            out[:, index] = marginal.reshape(count, size, size)
     return out
 
 
@@ -278,72 +294,101 @@ def pauli_tensor(state: QuantumState) -> np.ndarray:
     return tensor
 
 
-def jacobi_eigenvalues(matrix) -> np.ndarray:
+def jacobi_eigenvalues(matrices) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, ascending, by cyclic Jacobi.
 
-    Sweeps every (p, q) pair with the Golub-Van Loan rotation (the root of
-    t**2 + 2*theta*t - 1 = 0 of smaller magnitude) until the off-diagonal
-    Frobenius norm drops to ``JACOBI_OFF_TOL``.  Sized for the small
-    correlation matrices built here; raises ArithmeticError if
+    Takes one (k, k) matrix, giving a (k,) array, or a (K, k, k) stack,
+    giving (K, k) rows.  Sweeps every (p, q) pair with the Golub-Van Loan
+    rotation (the root of t**2 + 2*theta*t - 1 = 0 of smaller magnitude)
+    until a matrix's off-diagonal Frobenius norm drops to
+    ``JACOBI_OFF_TOL``; that matrix then leaves the stack.  Sized for the
+    small correlation matrices built here; raises ArithmeticError if
     ``JACOBI_MAX_SWEEPS`` sweeps do not get there, and ValueError for a
-    complex, non-finite, non-square or asymmetric input.
+    complex, non-finite, non-square or asymmetric input, naming the matrix's
+    index in a stack.
 
-    The rotations run on a list of row lists of Python floats: at k <= 12
-    numpy's per-element indexing and slice copies cost several times the
-    arithmetic.  One pass per rotation writes each rotated entry of columns
-    p and q into its mirror slot in rows p and q, which relies on the exact
-    symmetry the prologue enforces; the 2x2 (p, q) block is derived apart.
-    With products in the numpy sweep's order (``tests/oracles.py``) and no
-    fused multiply-add, the eigenvalues are the same bit for bit.
+    Each rotation runs on the whole stack at once, held as a (k, k, K)
+    array: the matrices whose (p, q) entry is not exactly 0 rotate columns
+    p and q in one elementwise pass, which also gives rows p and q by
+    symmetry, and rows p and q of the rotated columns, rotated in turn,
+    give the 2x2 (p, q) block.  The rotation angle takes ``math.hypot``
+    per matrix.  Every matrix sees the products, the pair order and the
+    stopping sums (``np.sum`` over its k * k off-diagonal squares) of the
+    numpy sweep in ``tests/oracles.py``, with no fused multiply-add, so its
+    eigenvalues are the same bit for bit, in a stack or on their own.
     """
-    if np.iscomplexobj(matrix):
-        raise ValueError("expected a real matrix, got a complex one")
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    sym_defect = float(np.max(np.abs(a - a.T)))
-    if sym_defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not symmetric: defect {sym_defect:.3e}")
-    k = a.shape[0]
+    single = np.ndim(matrices) == 2
+    name = "matrix" if single else "matrix {}"
+    if np.iscomplexobj(matrices):
+        index = 0 if single else next(i for i, m in enumerate(matrices) if np.iscomplexobj(m))
+        raise ValueError(f"{name.format(index)} is complex, expected a real one")
+    a = np.array(matrices, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected a nonempty square matrix or a stack, got shape {a.shape}")
+    if single:
+        a = a[None]
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{name.format(np.argmin(finite))} has a non-finite entry")
+    sym_defect = np.max(np.abs(a - a.transpose(0, 2, 1)), axis=(1, 2))
+    if np.any(sym_defect > HERMITIAN_TOL):
+        index = int(np.argmax(sym_defect > HERMITIAN_TOL))
+        raise ValueError(
+            f"{name.format(index)} is not symmetric: defect {sym_defect[index]:.3e}"
+        )
+    k = a.shape[1]
+    values = a.diagonal(axis1=1, axis2=2).copy()
     if k == 1:
-        return a.diagonal().copy()
-    rows = ((a + a.T) / 2.0).tolist()
+        return values[0] if single else values
+    a = np.ascontiguousarray(((a + a.transpose(0, 2, 1)) / 2.0).transpose(1, 2, 0))
+    live = np.arange(a.shape[2])
+    diagonal = np.arange(k)
     for _ in range(JACOBI_MAX_SWEEPS):
         # sum the off-diagonal squares directly: the textbook form
         # ||A||_F**2 - ||diag||**2 cancels and cannot resolve below
         # ~||A||**2 * eps, which is far above JACOBI_OFF_TOL**2
-        off = np.array(rows)
-        np.fill_diagonal(off, 0.0)
-        off_sq = float(np.sum(off * off))
-        if off_sq <= JACOBI_OFF_TOL * JACOBI_OFF_TOL:
-            return np.sort(np.array([rows[i][i] for i in range(k)]))
-        for p in range(k - 1):
-            row_p = rows[p]
-            for q in range(p + 1, k):
-                row_q = rows[q]
-                apq = row_p[q]
-                if apq == 0.0:
-                    continue
-                app = row_p[p]
-                aqq = row_q[q]
-                theta = (aqq - app) / (2.0 * apq)
-                # hypot keeps theta**2 from overflowing for denormal apq
-                t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for r, row in enumerate(rows):  # the (p, q) block is redone below
-                    x = row[p]
-                    y = row[q]
-                    row[p] = row_p[r] = c * x - s * y
-                    row[q] = row_q[r] = s * x + c * y
-                row_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
-                row_q[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
-                row_p[q] = row_q[p] = 0.0
+        off = a.transpose(2, 0, 1).copy()
+        off[:, diagonal, diagonal] = 0.0
+        off_sq = np.sum((off * off).reshape(live.size, -1), axis=1)
+        done = off_sq <= JACOBI_OFF_TOL * JACOBI_OFF_TOL
+        if done.any():
+            values[live[done]] = np.sort(a[diagonal, diagonal][:, done].T, axis=1)
+            live, a = live[~done], a[:, :, ~done]
+            if not live.size:
+                return values[0] if single else values
+        # theta is inf for a denormal a[p, q], silently, as on Python floats
+        with np.errstate(over="ignore"):
+            for p in range(k - 1):
+                for q in range(p + 1, k):
+                    if a[p, q].all():
+                        _jacobi_rotate(a, p, q)
+                    elif a[p, q].any():  # only the matrices whose a[p, q] is not exactly 0
+                        turning = np.flatnonzero(a[p, q])
+                        part = a[:, :, turning]
+                        _jacobi_rotate(part, p, q)
+                        a[:, :, turning] = part
     raise ArithmeticError("Jacobi sweep budget exhausted before convergence")
+
+
+def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
+    """One Jacobi rotation, in place, of every matrix in the (k, k, K) stack
+    ``a``, all of whose (p, q) entries are nonzero."""
+    col_p, col_q = a[:, p], a[:, q]
+    app, aqq, apq = col_p[p], col_q[q], col_q[p]
+    theta = (aqq - app) / (2.0 * apq)
+    # hypot keeps theta**2 from overflowing for denormal apq
+    t = 1.0 / (np.abs(theta) + np.array([math.hypot(x, 1.0) for x in theta.tolist()]))
+    np.negative(t, out=t, where=theta < 0.0)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    new_p = c * col_p - s * col_q
+    new_q = s * col_p + c * col_q
+    # rows p and q of the rotated columns, rotated in turn, are the new
+    # (p, q) block
+    new_p[p], new_q[q] = c * new_p[p] - s * new_p[q], s * new_q[p] + c * new_q[q]
+    new_p[q] = new_q[p] = 0.0
+    a[:, p] = a[p] = new_p
+    a[:, q] = a[q] = new_q
 
 
 @dataclass(frozen=True)
@@ -360,33 +405,49 @@ class CovarianceWitness:
 
 
 def covariance_witness(state: QuantumState, scenario) -> CovarianceWitness:
-    """M, V, C for the 2N observables of a scenario on the same N parties.
+    """M, V, C for the 2N observables of a scenario on the same N parties:
+    the K = 1 case of :func:`_covariance_stack`, frozen."""
+    _party_count(state, scenario)
+    stacks = _covariance_stack(state.kind, _state_array(state)[None], scenario.locals[None])
+    m, v, c = (stack[0] for stack in stacks)
+    for frozen in (m, v, c):
+        frozen.setflags(write=False)
+    return CovarianceWitness(m=m, v=v, c=c)
+
+
+def _covariance_stack(kind: str, states: np.ndarray, locals_: np.ndarray) -> tuple:
+    """(M, V, C) stacks of shapes (K, 2N, 2N), (K, 2N), (K, 2N, 2N) for K
+    states of one kind (as :func:`_stacked_marginals` takes them), each with
+    its own (N, 2, 2, 2) scenario locals in a (K, N, 2, 2, 2) stack.
 
     Observable i = 2 (p - 1) + s is party p's setting-s local.  The stacked
     1- and 2-party marginals, each taken once, give ``v[i] = Tr(rho_p O_i)``,
     ``m[i, j] = Re Tr(rho_p O_i O_j)`` on one party and
     ``Re Tr(rho_pq (O_i x O_j))`` across two, one batched einsum per stack:
-    N + N (N - 1) / 2 marginals of O(2**N) work, and no full-space operator.
+    N + N (N - 1) / 2 marginals of O(2**N) work per state, and no
+    full-space operator.  Each state's entries are the same bit for bit as
+    on its own.
     """
-    n = _party_count(state, scenario)
-    locals_ = scenario.locals
-    singles = _marginals(state, [(p,) for p in range(1, n + 1)])
-    v = _real_part(np.einsum("pxy,piyx->pi", singles, locals_), "mean vector").flatten()
-    m = np.empty((n, 2, n, 2))  # m[p, s, q, t] is entry (2 p + s, 2 q + t)
+    count, n = locals_.shape[:2]
+    singles = _stacked_marginals(kind, states, [(p,) for p in range(1, n + 1)])
+    # A batch of one 1-party marginal would take einsum's unbuffered loop,
+    # which sums in another order; two copies keep every batch on one loop.
+    twice = 2 if count * n == 1 else 1
+    means = np.einsum("Kpxy,Kpiyx->Kpi", *(x.repeat(twice, 0) for x in (singles, locals_)))
+    v = _real_part(means[:count], "mean vector").reshape(count, 2 * n)
+    m = np.empty((count, n, 2, n, 2))  # m[k, p, s, q, t] is entry (2 p + s, 2 q + t)
     same = np.arange(n)
-    m[same, :, same] = np.einsum("pxy,piyz,pjzx->pij", singles, locals_, locals_).real
+    same_party = np.einsum("Kpxy,Kpiyz,Kpjzx->Kpij", singles, locals_, locals_)
+    m[:, same, :, same] = same_party.real.swapaxes(0, 1)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     if pairs:  # rho[x y, z w] with x, z on p: Tr(rho (A x B)) = sum rho A[z, x] B[w, y]
         first, second = np.array(pairs).T - 1
-        rho = _marginals(state, pairs).reshape(-1, 2, 2, 2, 2)
-        cross = np.einsum("Pxyzw,Pizx,Pjwy->Pij", rho, locals_[first], locals_[second])
-        m[first, :, second] = cross.real
-    m = m.reshape(2 * n, 2 * n)
-    m = np.triu(m) + np.triu(m, 1).T  # Re Tr(rho O_i O_j) for i <= j, mirrored
-    c = m - np.outer(v, v)
-    for frozen in (m, v, c):
-        frozen.setflags(write=False)
-    return CovarianceWitness(m=m, v=v, c=c)
+        rho = _stacked_marginals(kind, states, pairs).reshape(count, -1, 2, 2, 2, 2)
+        cross = np.einsum("KPxyzw,KPizx,KPjwy->KPij", rho, locals_[:, first], locals_[:, second])
+        m[:, first, :, second] = cross.real.swapaxes(0, 1)
+    m = m.reshape(count, 2 * n, 2 * n)
+    m = np.triu(m) + np.triu(m, 1).transpose(0, 2, 1)  # Re Tr(rho O_i O_j) for i <= j, mirrored
+    return m, v, m - v[:, :, None] * v[:, None, :]
 
 
 def write_state_file(state: QuantumState, path) -> None:

@@ -18,8 +18,8 @@ operators.  ``random_states`` is the seeded pure and mixed input the
 marginal routes are checked on, and ``random_scenario`` the seeded planar
 or Bloch scenario, drawn as the harness draws it.
 ``numpy_jacobi_eigenvalues`` is the library's cyclic Jacobi sweep as it ran
-on a numpy array, row and column slices at a time, kept as the bit-for-bit
-reference for the Python-float sweep in ``linalg.jacobi_eigenvalues``.
+on one numpy array, row and column slices at a time, kept as the bit-for-bit
+reference for each matrix of the stacked sweep in ``linalg.jacobi_eigenvalues``.
 ``reduced_state`` is the partial trace of ``state.density_matrix()``
 written out on its own, sharing no code with the library's stacked
 marginals; ``reduced_state_eta`` and ``marginal_covariance_witness``

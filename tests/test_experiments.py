@@ -289,6 +289,38 @@ class TestVerifyBoundsRandom:
             replay = verify_bounds_random(seed, 1, n, n)
             assert getattr(replay, fields[check]) == getattr(report, fields[check]), check
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_psd_stack_bound_leaves_the_report_alone(self, monkeypatch, seed):
+        # a bound of 1 checks each trial on its own, as one call per trial
+        # did; any other bound must give the same report, witnesses included
+        stacks = []
+        jacobi = experiments.jacobi_eigenvalues
+
+        def recording(matrices):
+            stacks.append(len(matrices))
+            return jacobi(matrices)
+
+        monkeypatch.setattr(experiments, "jacobi_eigenvalues", recording)
+        reports = {}
+        for bound in (1, 3, experiments.PSD_STACK):
+            monkeypatch.setattr(experiments, "PSD_STACK", bound)
+            stacks.clear()
+            reports[bound] = verify_bounds_random(seed, 60, 2, 6)
+            assert sum(stacks) == 60 and max(stacks) <= bound
+        first = reports.pop(1)
+        assert set(first.witnesses) >= {"svetlichny", "covariance", "psd"}
+        for report in reports.values():
+            assert report == first
+
+    def test_tied_psd_margins_go_to_the_first_trial(self, monkeypatch):
+        # A stack takes its pure states before its mixed ones, so with a
+        # mixed state first, later trials reach the fold before trial 0.
+        seed = next(s for s in range(100) if SplitMix64(s).uniform() < 0.25)
+        monkeypatch.setattr(experiments, "jacobi_eigenvalues", lambda c: np.zeros(c.shape[:2]))
+        report = verify_bounds_random(seed, 20, 2, 2)
+        assert report.worst_psd_eigen == 0.0
+        assert report.witnesses["psd"] == (0, 2, seed)
+
     def test_no_normal_is_cached_at_a_trial_start(self, monkeypatch):
         # otherwise S_t alone would not fix the trial's draws
         spares = []

@@ -392,6 +392,9 @@ class TestJacobi:
         dense = seeded_symmetric(SplitMix64(13), 6, "symmetric")
         with pytest.raises(ArithmeticError):
             jacobi_eigenvalues(dense)
+        # in a stack, the diagonal matrix leaves at once and the other runs out
+        with pytest.raises(ArithmeticError):
+            jacobi_eigenvalues(np.array([np.eye(6), dense]))
 
     def test_stopping_sweep_is_pinned(self, monkeypatch):
         # Found by a seeded search (SplitMix64(22), 5x5, scaled so that the
@@ -421,12 +424,15 @@ class TestJacobi:
             jacobi_eigenvalues(sym)
 
     def test_input_untouched_and_result_is_float64_array(self):
-        sym = seeded_symmetric(SplitMix64(14), 5, "symmetric")
-        before = sym.copy()
-        got = jacobi_eigenvalues(sym)
-        assert np.array_equal(sym, before)
-        assert isinstance(got, np.ndarray)
-        assert got.dtype == np.float64 and got.shape == (5,)
+        rng = SplitMix64(14)
+        sym = seeded_symmetric(rng, 5, "symmetric")
+        stack = np.array([sym, seeded_symmetric(rng, 5, "gram")])
+        for matrices, shape in ((sym, (5,)), (stack, (2, 5))):
+            before = matrices.copy()
+            got = jacobi_eigenvalues(matrices)
+            assert np.array_equal(matrices, before)
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == np.float64 and got.shape == shape
 
     def test_block_diagonal_skips_zero_pairs(self):
         # the exact-zero off-block entries take the apq == 0.0 skip
@@ -440,6 +446,47 @@ class TestJacobi:
     def test_sorted_ascending(self):
         got = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
         assert np.array_equal(got, np.array([-1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("size", range(2, 13))
+    def test_stack_slices_match_the_numpy_sweep(self, size):
+        # random, Gram and diagonal matrices in one stack, plus at even sizes
+        # the covariance matrices the harness stacks for N = size / 2
+        rng = SplitMix64(1900 + size)
+        mats = [seeded_symmetric(rng, size, kind) for kind in ("symmetric", "gram", "diagonal") * 3]
+        if size % 2 == 0:
+            n = size // 2
+            for family in ("planar", "bloch"):
+                scenario = random_scenario(1950 + size, n, family)
+                mats += [covariance_witness(st, scenario).c for st in random_states(1960 + size, n)]
+        stack = np.array(mats)
+        got = jacobi_eigenvalues(stack)
+        assert got.shape == (len(mats), size) and got.dtype == np.float64
+        for row, matrix in zip(got, mats):
+            assert np.array_equal(row, numpy_jacobi_eigenvalues(matrix))
+            assert np.array_equal(row, jacobi_eigenvalues(matrix))
+        assert np.array_equal(jacobi_eigenvalues(stack[::-1]), got[::-1])
+
+    def test_denormal_off_diagonal_matches_the_numpy_sweep(self):
+        # theta overflows to inf, which the sweep takes without a warning
+        for matrix in (
+            [[1.0, 5e-324], [5e-324, 2.0]],
+            [[1.0, -4e-320, 0.3], [-4e-320, 1.0, 1e-300], [0.3, 1e-300, 7.0]],
+        ):
+            assert np.array_equal(jacobi_eigenvalues(matrix), numpy_jacobi_eigenvalues(matrix))
+        stack = np.array([[[1.0, 5e-324], [5e-324, 2.0]], [[3.0, 1.0], [1.0, 3.0]]])
+        got = jacobi_eigenvalues(stack)
+        assert all(np.array_equal(row, numpy_jacobi_eigenvalues(m)) for row, m in zip(got, stack))
+
+    def test_stack_names_the_bad_matrix(self):
+        rng = SplitMix64(16)
+        good = [seeded_symmetric(rng, 3, "symmetric") for _ in range(4)]
+        nan = good[2].copy()
+        nan[0, 1] = nan[1, 0] = math.nan
+        skew = good[2].copy()
+        skew[0, 1] += 1.0
+        for bad, what in ((good[2] + 0j, "complex"), (nan, "non-finite"), (skew, "not symmetric")):
+            with pytest.raises(ValueError, match=f"matrix 2 .*{what}"):
+                jacobi_eigenvalues(good[:2] + [bad] + good[3:])
 
     def test_converges_when_scale_dwarfs_tolerance(self):
         # Frobenius norm ~15 once stalled the off-diagonal test at the
@@ -535,21 +582,44 @@ class TestCovarianceWitness:
             for field, marginal in zip((got.m, got.v, got.c), want):
                 assert np.max(np.abs(field - marginal)) <= tol
 
+    @pytest.mark.parametrize("n_parties", range(1, 7))
+    def test_stack_slices_match_single_calls(self, n_parties):
+        # each state of a stack gets the bits of its K = 1 call, and so the
+        # marginal oracle's values within test_matches_marginal_oracle's bound
+        tol = 8 * ((1 << n_parties) + 16) * np.finfo(float).eps
+        for kind in (0, 1):
+            states = [random_states(6800 + 10 * n_parties + j, n_parties)[kind] for j in range(5)]
+            scenarios = [
+                random_scenario(6900 + 10 * n_parties + j, n_parties, ("planar", "bloch")[j % 2])
+                for j in range(5)
+            ]
+            stacks = linalg._covariance_stack(
+                states[0].kind,
+                np.array([linalg._state_array(state) for state in states]),
+                np.array([scenario.locals for scenario in scenarios]),
+            )
+            for j, (state, scenario) in enumerate(zip(states, scenarios)):
+                single = covariance_witness(state, scenario)
+                want = marginal_covariance_witness(state, scenario)
+                for stack, field, marginal in zip(stacks, (single.m, single.v, single.c), want):
+                    assert np.array_equal(stack[j], field)
+                    assert np.max(np.abs(stack[j] - marginal)) <= tol
+
     @pytest.mark.parametrize("n_parties", (2, 3, 5))
     def test_reads_each_marginal_once(self, monkeypatch, n_parties):
         # one marginal per party and per unordered pair, and no full-space
         # product mean
         marginals = []
-        stacked = linalg._marginals
+        stacked = linalg._stacked_marginals
 
-        def tracing(state, parties):
+        def tracing(kind, states, parties):
             marginals.extend(tuple(p) for p in parties)
-            return stacked(state, parties)
+            return stacked(kind, states, parties)
 
         def forbidden(state, factors):
             raise AssertionError("covariance_witness called product_mean")
 
-        monkeypatch.setattr(linalg, "_marginals", tracing)
+        monkeypatch.setattr(linalg, "_stacked_marginals", tracing)
         monkeypatch.setattr(linalg, "product_mean", forbidden)
         scenario = random_scenario(6400 + n_parties, n_parties, "bloch")
         parties = range(1, n_parties + 1)
