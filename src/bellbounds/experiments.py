@@ -137,24 +137,13 @@ def figure_sweep(config: SweepConfig) -> list[SweepRow]:
 
 
 def write_sweep_csv(rows, path) -> None:
-    """CSV with the fixed header, 15 significant digits, LF line endings."""
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                f"{value:.15g}"
-                for value in (
-                    row.alpha,
-                    row.operator_value,
-                    row.refined_bound,
-                    row.known_tsirelson,
-                    row.classical_bound,
-                    row.algebraic_bound,
-                )
-            )
-        )
+    """CSV with the fixed header, 15 significant digits, LF line endings,
+    written one row at a time."""
+    names = SWEEP_CSV_HEADER.split(",")
     with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(SWEEP_CSV_HEADER + "\n")
+        for row in rows:
+            handle.write(",".join(f"{getattr(row, name):.15g}" for name in names) + "\n")
 
 
 def _random_scenario_from(rng: SplitMix64, n_parties: int, family: str) -> MeasurementScenario:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -451,29 +450,42 @@ def _covariance_stack(kind: str, states: np.ndarray, locals_: np.ndarray) -> tup
 
 
 def write_state_file(state: QuantumState, path) -> None:
-    """Serialize to the plain-text state format (see read_state_file)."""
-    lines = []
-    if state.kind == "pure":
-        lines.append(f"pure {state.n_parties}")
-        for amp in state.amplitudes:
-            lines.append(f"{float(amp.real)!r} {float(amp.imag)!r}")
-    else:
-        lines.append(f"mixed {state.n_parties}")
-        for row in state.density:
-            lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Serialize to the plain-text state format (see read_state_file), one
+    row at a time, each float as its ``repr``."""
+    pure = state.kind == "pure"
+    row_format = ("%r %r" if pure else " ".join(["%r,%r"] * state.dim)) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write(f"{state.kind} {state.n_parties}\n")
+        for row in state.amplitudes[:, None] if pure else state.density:
+            out.write(row_format % tuple(row.view(float).tolist()))
 
 
-def _data_lines(path, kind: str) -> list[str]:
-    """The stripped nonblank lines of an input file, which must be ASCII."""
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{kind} file is not ASCII: {exc}") from exc
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
+def _data_lines(path, kind: str):
+    """Yield the stripped nonblank lines of an ASCII input file, holding one
+    line of text at a time; lines break as in ``str.splitlines``."""
+    empty = True
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"{kind} file is not ASCII: line {number}: {exc}") from exc
+            for line in filter(None, map(str.strip, text.splitlines())):
+                empty = False
+                yield line
+    if empty:
         raise FileFormatError(f"empty {kind} file")
-    return lines
+
+
+def _rows(lines, expected: int, what: str):
+    """Yield (index, line) for the first ``expected`` lines; the rest are
+    counted, not parsed, and any other count raises at the end."""
+    count = 0
+    for count, line in enumerate(lines, start=1):
+        if count <= expected:
+            yield count - 1, line
+    if count != expected:
+        raise FileFormatError(f"expected {expected} {what}, got {count}")
 
 
 def _load_state(spec: str, other, what: str) -> QuantumState:
@@ -490,12 +502,12 @@ def read_state_file(path) -> QuantumState:
     Line 1 is ``pure N`` or ``mixed N``.  A pure state follows with 2**N
     lines of ``re im``; a mixed one with 2**N rows of 2**N comma-joined
     ``re,im`` entries separated by whitespace.  Rejects anything violating
-    the state invariants.
+    the state invariants; of several faults, the first in the file.
     """
     lines = _data_lines(path, "state")
-    head = lines[0].split()
+    head = (first := next(lines)).split()
     if len(head) != 2 or head[0] not in ("pure", "mixed"):
-        raise FileFormatError(f"bad state header {lines[0]!r}")
+        raise FileFormatError(f"bad state header {first!r}")
     try:
         n = int(head[1])
     except ValueError as exc:
@@ -503,28 +515,26 @@ def read_state_file(path) -> QuantumState:
     if not 1 <= n <= 12:
         raise FileFormatError(f"party count {n} outside [1, 12]")
     dim = 1 << n
-    body = lines[1:]
-    if len(body) != dim:
-        raise FileFormatError(f"expected {dim} data rows, got {len(body)}")
     pure = head[0] == "pure"
     table = np.empty((dim, 2 if pure else 2 * dim))  # re, im pairs, row by row
-    try:
-        for row, line in enumerate(body):
-            fields = line.split()
-            if pure:
-                if len(fields) != 2:
-                    raise FileFormatError(f"row {row}: expected 're im', got {line!r}")
-            else:
-                if len(fields) != dim:
-                    raise FileFormatError(f"row {row}: expected {dim} entries, got {len(fields)}")
-                bad = [pair for pair in fields if pair.count(",") != 1]
-                if bad:
-                    raise FileFormatError(f"row {row}: bad entry {bad[0]!r}")
-                fields = line.replace(",", " ").split()
+    for row, line in _rows(lines, dim, "data rows"):
+        fields = line.split()
+        if pure:
+            if len(fields) != 2:
+                raise FileFormatError(f"row {row}: expected 're im', got {line!r}")
+        else:
+            if len(fields) != dim:
+                raise FileFormatError(f"row {row}: expected {dim} entries, got {len(fields)}")
+            bad = [pair for pair in fields if pair.count(",") != 1]
+            if bad:
+                raise FileFormatError(f"row {row}: bad entry {bad[0]!r}")
+            fields = ",".join(fields).split(",")
+        try:
             table[row] = fields
-        entries = table.view(complex)
+        except ValueError as exc:
+            raise FileFormatError(f"row {row}: bad number: {exc}") from exc
+    entries = table.view(complex)
+    try:
         return QuantumState.pure(entries[:, 0]) if pure else QuantumState.mixed(entries)
-    except FileFormatError:
-        raise
     except ValueError as exc:
         raise FileFormatError(f"state file rejected: {exc}") from exc

@@ -10,7 +10,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .linalg import (
     FileFormatError,
     InvariantViolation,
     _data_lines,
+    _rows,
     _square,
 )
 
@@ -195,7 +195,8 @@ def _bloch_form(local) -> tuple:
 
 
 def write_scenario_file(scenario: MeasurementScenario, path) -> None:
-    """Serialize to the plain-text scenario format (see read_scenario_file)."""
+    """Serialize to the plain-text scenario format (see read_scenario_file),
+    one row at a time, after every row has been checked."""
     n = scenario.n_parties
     if scenario.angles is not None:
         lines = [f"parties {n} family planar"]
@@ -210,7 +211,8 @@ def write_scenario_file(scenario: MeasurementScenario, path) -> None:
                     raise ValueError("local operator is not of the Bloch form n.sigma")
                 comps += [nx, ny, nz]
             lines.append(" ".join(repr(c) for c in comps))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def read_scenario_file(path) -> MeasurementScenario:
@@ -218,12 +220,13 @@ def read_scenario_file(path) -> MeasurementScenario:
 
     Line 1 is ``parties N family planar`` or ``parties N family bloch``,
     then N lines follow: two angles (radians) for planar, or six reals
-    (direction for setting 0, then setting 1) for bloch.
+    (direction for setting 0, then setting 1) for bloch.  Of several
+    faults, the first in the file is raised.
     """
     lines = _data_lines(path, "scenario")
-    head = lines[0].split()
+    head = (first := next(lines)).split()
     if len(head) != 4 or head[0] != "parties" or head[2] != "family":
-        raise FileFormatError(f"bad scenario header {lines[0]!r}")
+        raise FileFormatError(f"bad scenario header {first!r}")
     try:
         n = int(head[1])
     except ValueError as exc:
@@ -233,12 +236,9 @@ def read_scenario_file(path) -> MeasurementScenario:
     family = head[3]
     if family not in ("planar", "bloch"):
         raise FileFormatError(f"unknown family {family!r}")
-    body = lines[1:]
-    if len(body) != n:
-        raise FileFormatError(f"expected {n} party rows, got {len(body)}")
     width = 2 if family == "planar" else 6
     rows = []
-    for index, line in enumerate(body):
+    for index, line in _rows(lines, n, "party rows"):
         parts = line.split()
         if len(parts) != width:
             raise FileFormatError(

@@ -40,12 +40,17 @@ to psi) is checked against.
 are the optimizer's search and objective as they ran one point per call,
 the bit-for-bit references for the library's lockstep ``nelder_mead`` and
 its batched ``_setting_rows`` and ``_tensor_value``.
+``text_write_state_file``, ``text_write_scenario_file``, ``text_data_lines``
+and ``text_read_state_file`` are the file layer as it ran on whole-file
+text, the references for the bytes the streamed writers produce and for
+the arrays and messages of the streamed reader.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -494,3 +499,94 @@ def point_tensor_value(tensor, table, rows) -> float:
     for party_rows in rows:
         corr = party_rows @ corr.reshape(-1, 3, corr.shape[-1] // 3)
     return float(table.ravel() @ corr.ravel())
+
+
+def text_write_state_file(state, path) -> None:
+    """The state writer as it ran on whole-file text: every line built,
+    joined into one string and written at once."""
+    lines = []
+    if state.kind == "pure":
+        lines.append(f"pure {state.n_parties}")
+        for amp in state.amplitudes:
+            lines.append(f"{float(amp.real)!r} {float(amp.imag)!r}")
+    else:
+        lines.append(f"mixed {state.n_parties}")
+        for row in state.density:
+            lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def text_write_scenario_file(scenario, path) -> None:
+    """The scenario writer as it ran on whole-file text, for scenarios of
+    the planar or Bloch form: a Bloch local (top, upper; lower, bottom)
+    is written as (upper.real, lower.imag, (top.real - bottom.real) / 2)."""
+    n = scenario.n_parties
+    if scenario.angles is not None:
+        lines = [f"parties {n} family planar"]
+        lines += [f"{t0!r} {t1!r}" for t0, t1 in scenario.angles]
+    else:
+        lines = [f"parties {n} family bloch"]
+        for pair in scenario.locals.tolist():
+            comps = []
+            for (top, upper), (lower, bottom) in pair:
+                comps += [upper.real, lower.imag, (top.real - bottom.real) / 2.0]
+            lines.append(" ".join(repr(c) for c in comps))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def text_data_lines(path, kind: str) -> list:
+    """The stripped nonblank lines of an input file, which must be ASCII,
+    read as one whole-file string."""
+    from bellbounds import FileFormatError
+
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{kind} file is not ASCII: {exc}") from exc
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise FileFormatError(f"empty {kind} file")
+    return lines
+
+
+def text_read_state_file(path):
+    """The state reader as it ran on ``text_data_lines``: every check on
+    the header and the row count before any row is parsed."""
+    from bellbounds import FileFormatError, QuantumState
+
+    lines = text_data_lines(path, "state")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] not in ("pure", "mixed"):
+        raise FileFormatError(f"bad state header {lines[0]!r}")
+    try:
+        n = int(head[1])
+    except ValueError as exc:
+        raise FileFormatError(f"bad party count in header: {head[1]!r}") from exc
+    if not 1 <= n <= 12:
+        raise FileFormatError(f"party count {n} outside [1, 12]")
+    dim = 1 << n
+    body = lines[1:]
+    if len(body) != dim:
+        raise FileFormatError(f"expected {dim} data rows, got {len(body)}")
+    pure = head[0] == "pure"
+    table = np.empty((dim, 2 if pure else 2 * dim))  # re, im pairs, row by row
+    try:
+        for row, line in enumerate(body):
+            fields = line.split()
+            if pure:
+                if len(fields) != 2:
+                    raise FileFormatError(f"row {row}: expected 're im', got {line!r}")
+            else:
+                if len(fields) != dim:
+                    raise FileFormatError(f"row {row}: expected {dim} entries, got {len(fields)}")
+                bad = [pair for pair in fields if pair.count(",") != 1]
+                if bad:
+                    raise FileFormatError(f"row {row}: bad entry {bad[0]!r}")
+                fields = line.replace(",", " ").split()
+            table[row] = fields
+        entries = table.view(complex)
+        return QuantumState.pure(entries[:, 0]) if pure else QuantumState.mixed(entries)
+    except FileFormatError:
+        raise
+    except ValueError as exc:
+        raise FileFormatError(f"state file rejected: {exc}") from exc

@@ -42,6 +42,8 @@ from oracles import (
     random_scenario,
     random_states,
     reduced_state,
+    text_read_state_file,
+    text_write_state_file,
 )
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -652,6 +654,79 @@ class TestCovarianceWitness:
             covariance_witness(ghz_state(3), self.planar_scenario())
 
 
+MALFORMED_STATES = [
+    "",
+    "pure\n1 0\n0 0\n",
+    "impure 1\n1 0\n0 0\n",
+    "pure 0\n1 0\n",
+    "pure 1\n1 0\n",
+    "pure 1\n1 0\n0 0\n0 0\n",
+    "pure 1\none 0\n0 0\n",
+    "pure 1\n1 0 0\n0 0\n",
+    "pure 1\n1 0\n1 0\n",
+    "mixed 1\n1,0 0,0\n0,0\n",
+    "mixed 1\n1,0,0 0\n0,0 0,0\n",
+    "mixed 1\n0.6,0 0,0\n0,0 0.6,0\n",
+    "pure 1\nnan 0\n0 0\n",
+    "pure 1\n1 0\n0 inf\n",
+    "mixed 1\nnan,0 0,0\n0,0 1,0\n",
+]
+
+# Files the streamed reader must read as the whole-text oracle does: the same
+# array bit for bit, or the same exception type and message.  A second item
+# is the message that the reader now gives in place of the oracle's.
+STATE_CORPUS = [
+    (text.encode(), None) for text in MALFORMED_STATES if text != "pure 1\none 0\n0 0\n"
+] + [
+    (b"pure 1\none 0\n0 0\n", "row 0: bad number: could not convert string to float: 'one'"),
+    (b"mixed 1\n1,0 0,0\n0,0 0,zz\n", "row 1: bad number: could not convert string to float: 'zz'"),
+    # "1," has an empty imaginary part; the oracle read it as a short row
+    (b"mixed 1\n1, 0,0\n0,0 0,0\n", "row 0: bad number: could not convert string to float: ''"),
+    (
+        b"pure 1\n1 0\n0 0\xff\n",
+        "state file is not ASCII: line 3: 'ascii' codec can't decode byte 0xff in position 3: "
+        "ordinal not in range(128)",
+    ),
+    (b"pure 1\r\n1 0\r\n0 0\r\n", None),
+    (b"mixed 1\r\n1,0 0,0\r\n0,0 0,0\r\n", None),
+    (b"pure 1\r1 0\r0 0\r", None),
+    (b"mixed 1\r0.5,0 0,0.5\r0,-0.5 0.5,0", None),
+    (b"pure 1\x0c1 0\x0c0 0\x0c", None),
+    (b"pure 2\x0b0.6 0\x1c0 0\x1d0 0\x1e0 0.8\n", None),
+    (b"\n\n  pure 1  \n\n\t1 0\n   \n \t0 0\t\n\n", None),
+    (b"\n mixed 1\n\n  1,0   0,0 \n\n\t0,0\t0,0\n  \n", None),
+    (b"mixed 1\n1,0 0,0\n0,0 0,0\n0,0 0,0\n", None),
+    (b"pure 2\n1 0\n0 0\n0 0\n", None),
+    (b"mixed 1\n1,0 0,0\n", None),
+]
+
+# Files with two faults: the oracle checked the ASCII bytes and the row count
+# before any row, and the streamed reader raises the first fault in file order.
+MULTI_FAULT_STATES = [
+    (b"pure 1\none 0\n0 0\xff\n", "row 0: bad number: could not convert string to float: 'one'"),
+    (b"impure 1\n1 0\xff\n", "bad state header 'impure 1'"),
+    (b"pure 1\none 0\n0 0\n0 0\n", "row 0: bad number: could not convert string to float: 'one'"),
+    (b"pure 1\n1 0 0\n0 0\n0 0\n", "row 0: expected 're im', got '1 0 0'"),
+    (b"mixed 1\n1,0,0 0\n", "row 0: bad entry '1,0,0'"),
+    (
+        b"mixed 1\n1,0 0,0\n0,0 0,0\n0,0 0,0\xff\n",
+        "state file is not ASCII: line 4: 'ascii' codec can't decode byte 0xff in position 7: "
+        "ordinal not in range(128)",
+    ),
+]
+
+
+def _read_outcome(read, path):
+    """(kind, array bytes) of the state read from ``path``, or (exception
+    type, message)."""
+    try:
+        state = read(path)
+    except FileFormatError as exc:
+        return type(exc), str(exc)
+    array = state.amplitudes if state.kind == "pure" else state.density
+    return state.kind, array.tobytes()
+
+
 class TestStateFiles:
     def test_pure_round_trip_is_exact(self, tmp_path):
         state = ghz_state(3)
@@ -670,28 +745,110 @@ class TestStateFiles:
         assert back.kind == "mixed"
         assert np.array_equal(back.density, state.density)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "pure\n1 0\n0 0\n",
-            "impure 1\n1 0\n0 0\n",
-            "pure 0\n1 0\n",
-            "pure 1\n1 0\n",
-            "pure 1\n1 0\n0 0\n0 0\n",
-            "pure 1\none 0\n0 0\n",
-            "pure 1\n1 0 0\n0 0\n",
-            "pure 1\n1 0\n1 0\n",
-            "mixed 1\n1,0 0,0\n0,0\n",
-            "mixed 1\n1,0,0 0\n0,0 0,0\n",
-            "mixed 1\n0.6,0 0,0\n0,0 0.6,0\n",
-            "pure 1\nnan 0\n0 0\n",
-            "pure 1\n1 0\n0 inf\n",
-            "mixed 1\nnan,0 0,0\n0,0 1,0\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED_STATES)
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.state"
         path.write_text(text, encoding="ascii")
         with pytest.raises(FileFormatError):
             read_state_file(path)
+
+    def test_bad_number_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.state"
+        path.write_text("mixed 1\n1,0 0,0\n0,0 0,zz\n", encoding="ascii")
+        with pytest.raises(FileFormatError) as caught:
+            read_state_file(path)
+        assert str(caught.value) == "row 1: bad number: could not convert string to float: 'zz'"
+
+    def test_invariant_failures_keep_their_prefix(self, tmp_path):
+        path = tmp_path / "trace.state"
+        path.write_text("mixed 1\n0.6,0 0,0\n0,0 0.6,0\n", encoding="ascii")
+        with pytest.raises(FileFormatError, match="^state file rejected: density matrix has trace"):
+            read_state_file(path)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_writer_matches_the_whole_text_oracle(self, tmp_path, n, kind):
+        pure, mixed = random_states(400 + n, n)
+        state = pure if kind == "pure" else mixed
+        write_state_file(state, tmp_path / "streamed.state")
+        text_write_state_file(state, tmp_path / "text.state")
+        assert (tmp_path / "streamed.state").read_bytes() == (tmp_path / "text.state").read_bytes()
+
+    def test_writer_matches_the_oracle_on_signed_zeros_and_subnormals(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e-300, 0.1]
+        amps = np.array([complex(-0.0, 5e-324), complex(1e-300, -0.0), 0.1, math.sqrt(0.99)])
+        rho = np.diag([0.9, 0.1, 1e-300, 5e-324]).astype(complex)
+        rho[0, 1], rho[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        rho[2, 3] = rho[3, 2] = 5e-324
+        for index, state in enumerate([QuantumState.pure(amps), QuantumState.mixed(rho)]):
+            streamed, text = tmp_path / f"streamed{index}.state", tmp_path / f"text{index}.state"
+            write_state_file(state, streamed)
+            text_write_state_file(state, text)
+            assert streamed.read_bytes() == text.read_bytes()
+            assert all(repr(x) in streamed.read_text() for x in edge)
+            array = state.amplitudes if state.kind == "pure" else state.density
+            assert _read_outcome(read_state_file, streamed) == (state.kind, array.tobytes())
+
+    @pytest.mark.parametrize(
+        "data, message", STATE_CORPUS, ids=[repr(data) for data, _ in STATE_CORPUS]
+    )
+    def test_reader_matches_the_whole_text_oracle(self, tmp_path, data, message):
+        path = tmp_path / "case.state"
+        path.write_bytes(data)
+        want = _read_outcome(text_read_state_file, path)
+        got = _read_outcome(read_state_file, path)
+        if message is None:
+            assert got == want
+        else:
+            assert want[0] is FileFormatError and want[1] != message
+            assert got == (FileFormatError, message)
+
+    @pytest.mark.parametrize(
+        "data, message", MULTI_FAULT_STATES, ids=[repr(d) for d, _ in MULTI_FAULT_STATES]
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, data, message):
+        path = tmp_path / "faults.state"
+        path.write_bytes(data)
+        assert _read_outcome(text_read_state_file, path)[0] is FileFormatError
+        assert _read_outcome(read_state_file, path) == (FileFormatError, message)
+
+    def test_reader_matches_the_oracle_on_written_files(self, tmp_path):
+        for n in (1, 3, 5):
+            for index, state in enumerate(random_states(500 + n, n)):
+                path = tmp_path / f"{n}-{index}.state"
+                write_state_file(state, path)
+                crlf = tmp_path / f"{n}-{index}-crlf.state"
+                crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+                for each in (path, crlf):
+                    got = _read_outcome(read_state_file, each)
+                    assert got == _read_outcome(text_read_state_file, each)
+                    assert got[0] == state.kind
+
+    @staticmethod
+    def _traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_holds_one_row_of_text(self, tmp_path):
+        # The whole-text writer peaked at about three times the file's size.
+        state = random_states(8008, 8)[1]
+        path = tmp_path / "mixed8.state"
+        peak = self._traced_peak(lambda: write_state_file(state, path))
+        assert peak < 0.1 * path.stat().st_size
+
+    def test_reader_holds_one_line_of_text(self, tmp_path):
+        # At N = 8 a mixed file holds 2.9 MB of text for a 1 MB matrix.  The
+        # table, QuantumState.mixed's copy and its checks take about four
+        # matrices; the whole-text reader, holding the text and its lines
+        # as well, took about seven.
+        state = random_states(8008, 8)[1]
+        path = tmp_path / "mixed8.state"
+        write_state_file(state, path)
+        bound = 6 * state.density.nbytes
+        peak = self._traced_peak(lambda: read_state_file(path))
+        assert peak < bound
+        assert self._traced_peak(lambda: text_read_state_file(path)) > bound

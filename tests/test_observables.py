@@ -32,6 +32,8 @@ from bellbounds.observables import (
 )
 from bellbounds.polynomials import realize, svetlichny
 
+from oracles import random_scenario, text_write_scenario_file
+
 
 class TestPlanarObservable:
     def test_matrix_form(self):
@@ -328,3 +330,48 @@ class TestScenarioFiles:
         path.write_text(text, encoding="ascii")
         with pytest.raises(FileFormatError):
             read_scenario_file(path)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    def test_writer_matches_the_whole_text_oracle(self, tmp_path, n, family):
+        scenario = random_scenario(700 + n, n, family)
+        write_scenario_file(scenario, tmp_path / "streamed.scenario")
+        text_write_scenario_file(scenario, tmp_path / "text.scenario")
+        streamed = (tmp_path / "streamed.scenario").read_bytes()
+        assert streamed == (tmp_path / "text.scenario").read_bytes()
+        assert streamed.startswith(f"parties {n} family {family}\n".encode())
+
+    def test_writer_leaves_no_file_for_a_local_off_the_bloch_form(self, tmp_path):
+        scenario = MeasurementScenario([(SIGMA_Z, -ID2)])
+        path = tmp_path / "general.scenario"
+        with pytest.raises(ValueError, match="Bloch form"):
+            write_scenario_file(scenario, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r", b"\x0c", b"\n\n  "])
+    def test_any_line_break_reads_the_same(self, tmp_path, newline):
+        path = tmp_path / "bloch.scenario"
+        write_scenario_file(random_scenario(71, 3, "bloch"), path)
+        other = tmp_path / "other.scenario"
+        other.write_bytes(path.read_bytes().replace(b"\n", newline))
+        want = read_scenario_file(path).locals
+        assert read_scenario_file(other).locals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # the row count is checked at the end of the file, after the rows
+            (b"parties 1 family planar\nzero 0\n0 0\n",
+             "party row 1: bad number: could not convert string to float: 'zero'"),
+            (b"parties 2 family planar\n0\n", "party row 1: expected 2 numbers, got 1"),
+            (b"parties 1 family planar\n0 1\n\xff\n",
+             "scenario file is not ASCII: line 3: 'ascii' codec can't decode byte 0xff "
+             "in position 0: ordinal not in range(128)"),
+        ],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, data, message):
+        path = tmp_path / "faults.scenario"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError) as caught:
+            read_scenario_file(path)
+        assert str(caught.value) == message
