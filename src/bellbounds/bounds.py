@@ -5,7 +5,9 @@ driven by measured correlations: one party's local anticommutator (eta)
 for the Svetlichny family, and bipartite cross-setting anticommutators
 (chi) for the odd-N MK family.  eta reads the scenario's Bloch vectors;
 chi is one batched sum of squares over the stacked 4x4 pair marginals.
-eta's +-I branch and quad_corr read the state through those marginals too.
+Both kernels take a leading stack axis of K states; the public functions
+are their K = 1 case.  eta's +-I branch and quad_corr read the state
+through those marginals too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .linalg import (
     _marginals,
     _party_count,
     _real_part,
+    _stacked_marginals,
+    _state_array,
     hermiticity_defect,
     product_mean,
 )
@@ -31,6 +35,7 @@ from .observables import DichotomicObservable, MeasurementScenario, _bloch_form
 
 CLAMP_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
+_CHI_SLICE = 8  # states per pass of _chis: bounds its (K, P, 2, 4, 4) temporaries
 
 
 def _clamped(value: float, low: float, high: float, what: str) -> float:
@@ -47,61 +52,87 @@ def _pair_operator(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (4, 4))
 
 
-def eta(scenario: MeasurementScenario, state: QuantumState, party: int) -> float:
-    """(<{A, C}>/2)**2 for one party's settings A = a0 I + a.sigma and C = c0 I + c.sigma.
+def _etas(kind: str, states: np.ndarray, locals_: np.ndarray) -> np.ndarray:
+    """(K, N) etas (<{A, C}>/2)**2, clamped to [0, 1], of each party's
+    settings A = a0 I + a.sigma and C = c0 I + c.sigma, for K states of one
+    kind (as _stacked_marginals takes them), each with its own (N, 2, 2, 2)
+    locals in a (K, N, 2, 2, 2) stack.
 
     <{A, C}>/2 = a.c - a0 c0 + a0 <C> + c0 <A>, with 2 a.c read by the
     sum-of-squares branch of _chis on |a +- c|**2 and |a|**2 + |c|**2 =
-    2 - a0**2 - c0**2, then clamped to [0, 1].  Traceless locals give
-    (a.c)**2 on every state; only a +-I local reads the party's 1-party
-    marginal, for <A> and <C> in one einsum.
+    2 - a0**2 - c0**2.  Traceless locals give (a.c)**2 on every state; only
+    when a local is +-I are the 1-party marginals read, every party's in one
+    call, for <A> and <C> in one einsum.  Each state's etas are the same
+    bit for bit as on its own.
     """
-    _party_count(state, scenario, party)
-    locals_ = scenario.locals[party - 1]
-    (a0, a), (c0, c) = map(_bloch_form, locals_.tolist())
-    square_sum, square_diff = (sum((x + sign * y) ** 2 for x, y in zip(a, c)) for sign in (1, -1))
+    traces, vectors = _bloch_form(locals_)
+    a0, c0, a, c = traces[..., 0], traces[..., 1], vectors[..., 0, :], vectors[..., 1, :]
+    squares = np.square([a + c, a - c])  # |a + c|**2, then |a - c|**2, summed in order
+    square_sum, square_diff = squares[..., 0] + squares[..., 1] + squares[..., 2]
     norms = 2.0 - a0 * a0 - c0 * c0
-    twice_dot = square_sum - norms if square_sum <= square_diff else norms - square_diff
+    twice_dot = np.where(square_sum <= square_diff, square_sum - norms, norms - square_diff)
     half_mean = 0.5 * twice_dot - a0 * c0
-    if a0 or c0:
-        rho = _marginals(state, [(party,)])[0]
-        means = _real_part(np.einsum("xy,syx->s", rho, locals_), f"eta({party}) means")
-        half_mean += a0 * float(means[1]) + c0 * float(means[0])
-    return _clamped(half_mean * half_mean, 0.0, 1.0, f"eta({party})")
+    traced = (a0 != 0.0) | (c0 != 0.0)
+    if traced.any():
+        singles = _stacked_marginals(kind, states, [(p,) for p in range(1, a0.shape[1] + 1)])
+        means = _real_part(np.einsum("Kpxy,Kpsyx->Kps", singles, locals_)[traced], "eta means")
+        half_mean[traced] += a0[traced] * means[:, 1] + c0[traced] * means[:, 0]
+    etas = half_mean * half_mean
+    for trial, party in np.argwhere(~(etas <= 1.0 + CLAMP_TOL))[:1]:  # raises; NaN too
+        _clamped(float(etas[trial, party]), 0.0, 1.0, f"eta({party + 1})")
+    return np.minimum(etas, 1.0)
 
 
-def svetlichny_bound(n_parties: int, eta_value: float) -> float:
-    """2**(N-1) sqrt(1 + sqrt(1 - eta)); 2**(N-1) sqrt(2) at eta = 0."""
+def eta(scenario: MeasurementScenario, state: QuantumState, party: int) -> float:
+    """(<{A, C}>/2)**2 for one party's settings A and C, clamped to [0, 1]:
+    the K = 1 case of the stacked kernel of best_svetlichny_bound."""
+    _party_count(state, scenario, party)
+    return float(_etas(state.kind, _state_array(state)[None], scenario.locals[None])[0, party - 1])
+
+
+def svetlichny_bound(n_parties: int, eta_value):
+    """2**(N-1) sqrt(1 + sqrt(1 - eta)); 2**(N-1) sqrt(2) at eta = 0.
+
+    Takes one eta, giving a float, or an array of them, elementwise.
+    """
     if n_parties < 2:
         raise ValueError(f"party count must be >= 2, got {n_parties}")
-    if not 0.0 <= eta_value <= 1.0:
+    etas = np.asarray(eta_value, dtype=float)
+    if not np.all((etas >= 0.0) & (etas <= 1.0)):  # NaN too
         raise ValueError(f"eta must lie in [0, 1], got {eta_value!r}")
-    return 2.0 ** (n_parties - 1) * math.sqrt(1.0 + math.sqrt(1.0 - eta_value))
+    values = 2.0 ** (n_parties - 1) * np.sqrt(1.0 + np.sqrt(1.0 - etas))
+    return values if values.ndim else float(values)
 
 
-def _chis(scenario, state: QuantumState, pairs) -> np.ndarray:
-    """(chi+, chi-) of each listed pair (n, m) as a (P, 2) array, clamped to [-2, 2].
+def _chis(locals_: np.ndarray, marginals: np.ndarray, pairs) -> np.ndarray:
+    """(chi+, chi-) of each listed pair (n, m) as a (K, P, 2) array, clamped
+    to [-2, 2], for K states given by their (K, P, 4, 4) pair marginals,
+    each with its own (N, 2, 2, 2) locals in a (K, N, 2, 2, 2) stack.
 
     chi+ pairs P = A0(n)A1(m) with Q = A1(n)A0(m); chi- pairs A0(n)A0(m)
     with A1(n)A1(m).  Both square to the identity, so <{P, Q}> =
     <(P + Q)**2> - 2 = 2 - <(P - Q)**2>, with <S**2> = Re Tr(S rho S^dagger)
-    on the stacked pair marginals, one batched pass for every pair and sign.
-    Keeping the smaller square holds the error quadratic near both extremes,
-    so -2 and +2 are reached exactly instead of an ulp inside, which the
-    bounds' square roots would amplify to ~1e-8.
+    on the stacked pair marginals, one batched pass for every pair and sign
+    of _CHI_SLICE states.  Keeping the smaller square holds the error
+    quadratic near both extremes, so -2 and +2 are reached exactly instead
+    of an ulp inside, which the bounds' square roots would amplify to
+    ~1e-8.  Each state's values are the same bit for bit as on its own.
     """
-    _party_count(state, scenario)
-    an, am = (scenario.locals[[pair[i] - 1 for pair in pairs]] for i in (0, 1))
-    first = _pair_operator(an[:, [0, 0]], am[:, [1, 0]])  # '+' crosses the settings of m
-    second = _pair_operator(an[:, [1, 1]], am[:, [0, 1]])
-    density = _marginals(state, pairs)[:, None]
-    square_sum, square_diff = (
-        np.einsum("...ij,...ij->...", op.conj(), op @ density).real
-        for op in (first + second, first - second)
-    )
-    values = np.where(square_sum <= square_diff, square_sum - 2.0, 2.0 - square_diff)
-    for index, sign in np.argwhere(~(np.abs(values) <= 2.0 + CLAMP_TOL))[:1]:  # raises; NaN too
-        _clamped(float(values[index, sign]), -2.0, 2.0, f"chi{'+-'[sign]}{pairs[index]}")
+    first_party, second_party = ([pair[i] - 1 for pair in pairs] for i in (0, 1))
+    values = np.empty(marginals.shape[:2] + (2,))
+    for top in range(0, len(values), _CHI_SLICE):
+        part = slice(top, top + _CHI_SLICE)
+        an, am = locals_[part, first_party], locals_[part, second_party]
+        first = _pair_operator(an[:, :, [0, 0]], am[:, :, [1, 0]])  # '+' crosses m's settings
+        second = _pair_operator(an[:, :, [1, 1]], am[:, :, [0, 1]])
+        density = marginals[part, :, None]
+        square_sum, square_diff = (
+            np.einsum("...ij,...ij->...", op.conj(), op @ density).real
+            for op in (first + second, first - second)
+        )
+        values[part] = np.where(square_sum <= square_diff, square_sum - 2.0, 2.0 - square_diff)
+    for k, index, sign in np.argwhere(~(np.abs(values) <= 2.0 + CLAMP_TOL))[:1]:  # raises; NaN too
+        _clamped(float(values[k, index, sign]), -2.0, 2.0, f"chi{'+-'[sign]}{pairs[index]}")
     return np.clip(values, -2.0, 2.0)
 
 
@@ -110,22 +141,29 @@ def chi(
 ) -> tuple[float, float]:
     """(chi+, chi-): bipartite cross-setting anticommutator means, clamped to [-2, 2].
 
-    The stacked kernel of best_mk_bound, on the one pair (n, m).
+    The K = 1 case of the stacked kernel of best_mk_bound, on the one pair (n, m).
     """
     _party_count(state, scenario, n, m)
-    return tuple(_chis(scenario, state, [(n, m)])[0].tolist())
+    marginals = _marginals(state, [(n, m)])[None]
+    return tuple(_chis(scenario.locals[None], marginals, [(n, m)])[0, 0].tolist())
 
 
-def mk_bound_odd(n_parties: int, chi_plus: float, chi_minus: float) -> float:
-    """2**(N-3) (sqrt(2 + chi+) + sqrt(2 - chi-)) for odd N >= 3."""
+def mk_bound_odd(n_parties: int, chi_plus, chi_minus):
+    """2**(N-3) (sqrt(2 + chi+) + sqrt(2 - chi-)) for odd N >= 3.
+
+    Takes one chi pair, giving a float, or two arrays of them, elementwise.
+    """
     if n_parties < 3 or n_parties % 2 == 0:
         raise ValueError(f"need an odd party count >= 3, got {n_parties}")
-    for name, value in (("chi_plus", chi_plus), ("chi_minus", chi_minus)):
-        if not -2.0 <= value <= 2.0:
-            raise ValueError(f"{name} must lie in [-2, 2], got {value!r}")
-    return 2.0 ** (n_parties - 3) * (
-        math.sqrt(max(2.0 + chi_plus, 0.0)) + math.sqrt(max(2.0 - chi_minus, 0.0))
+    plus, minus = chis = np.asarray([chi_plus, chi_minus], dtype=float)
+    if not np.all(np.abs(chis) <= 2.0):  # NaN too
+        raise ValueError(
+            f"chi_plus and chi_minus must lie in [-2, 2], got {chi_plus!r}, {chi_minus!r}"
+        )
+    values = 2.0 ** (n_parties - 3) * (
+        np.sqrt(np.maximum(2.0 + plus, 0.0)) + np.sqrt(np.maximum(2.0 - minus, 0.0))
     )
+    return values if values.ndim else float(values)
 
 
 def mk_bound_classical_pair(n_parties: int, quad_corr: float) -> float:
@@ -188,14 +226,15 @@ def best_svetlichny_bound(
     n = scenario.n_parties
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
-    etas = [eta(scenario, state, party) for party in range(1, n + 1)]
-    values = [svetlichny_bound(n, e) for e in etas]
-    best = values.index(min(values))
+    _party_count(state, scenario)
+    etas = _etas(state.kind, _state_array(state)[None], scenario.locals[None])[0]
+    values = svetlichny_bound(n, etas)
+    best = int(np.argmin(values))
     return BoundReport(
         kind="svetlichny",
         n_parties=n,
-        value=values[best],
-        witness={"party": best + 1, "eta": etas[best]},
+        value=float(values[best]),
+        witness={"party": best + 1, "eta": float(etas[best])},
         known_tsirelson=2.0 ** (n - 1) * SQRT2,
         classical=2.0 ** (n - 1),
         algebraic=2.0**n,
@@ -215,18 +254,19 @@ def best_mk_bound(scenario: MeasurementScenario, state: QuantumState) -> BoundRe
     n = scenario.n_parties
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd party count >= 3, got {n}")
+    _party_count(state, scenario)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    chis = _chis(scenario, state, pairs).tolist()
-    values = [mk_bound_odd(n, *pair_chis) for pair_chis in chis]
-    best = values.index(min(values))
+    chis = _chis(scenario.locals[None], _marginals(state, pairs)[None], pairs)[0]
+    values = mk_bound_odd(n, chis[:, 0], chis[:, 1])
+    best = int(np.argmin(values))
     return BoundReport(
         kind="mk-odd",
         n_parties=n,
-        value=values[best],
+        value=float(values[best]),
         witness={
             "pair": pairs[best],
-            "chi_plus": chis[best][0],
-            "chi_minus": chis[best][1],
+            "chi_plus": float(chis[best, 0]),
+            "chi_minus": float(chis[best, 1]),
         },
         known_tsirelson=2.0 ** (n - 1) * SQRT2,
         classical=2.0 ** (n - 2),

@@ -14,12 +14,21 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import best_mk_bound, best_svetlichny_bound, covariance_inequality
+from .bounds import (
+    _chis,
+    _etas,
+    best_mk_bound,
+    best_svetlichny_bound,
+    covariance_inequality,
+    mk_bound_odd,
+    svetlichny_bound,
+)
 from .linalg import (
     InvariantViolation,
     QuantumState,
     _covariance_stack,
     _load_state,
+    _stacked_marginals,
     _state_array,
     expectation,
     ghz_state,
@@ -34,9 +43,9 @@ SWEEP_CSV_HEADER = "alpha,operator_value,refined_bound,known_tsirelson,classical
 SWEEP_SLACK_TOL = 1e-9
 HARNESS_SLACK_TOL = 1e-9
 HARNESS_PSD_TOL = 1e-10
-# Most trials of one N whose PSD checks wait for one stacked Jacobi call (and
-# one stacked witness call per state kind): bounds the memory the queued
-# states hold.
+# Most trials of one N whose bound and PSD checks wait for one stacked pass
+# (one eta, chi and witness call per state kind, and one Jacobi call):
+# bounds the memory the queued states hold.
 PSD_STACK = 64
 NELDER_MEAD_STEP = 0.5  # offset of each initial simplex vertex from the start
 LIVE_SEARCHES = 8  # most multistarts in one lockstep batch: bounds its memory
@@ -175,7 +184,7 @@ def _haar_pure(rng: SplitMix64, n_parties: int) -> QuantumState:
     """Haar-random pure state: per amplitude, a real then an imaginary normal."""
     dim = 1 << n_parties
     while True:
-        amps = np.array([rng.normal() for _ in range(2 * dim)]).view(complex)
+        amps = rng.normals(2 * dim).view(complex)
         norm = float(np.linalg.norm(amps))
         if norm > 0.0:
             return QuantumState.pure(amps / norm)
@@ -188,8 +197,7 @@ def _random_state(rng: SplitMix64, n_parties: int) -> QuantumState:
         first = _haar_pure(rng, n_parties)
         second = _haar_pure(rng, n_parties)
         rho = weight * first.density_matrix() + (1.0 - weight) * second.density_matrix()
-        rho = (rho + rho.conj().T) / 2.0
-        return QuantumState.mixed(rho)
+        return QuantumState.mixed((rho + rho.conj().T) / 2.0, copy=False)
     return _haar_pure(rng, n_parties)
 
 
@@ -243,16 +251,18 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     blocks B_i, B_j (on X) and C (on Y), then for the Y-side blocks
     B_i, B_j (on Y) and C (on X).  Checked per trial: both Svetlichny
     parities against the eta-refined bound (eta from the scenario alone),
-    odd-N MK against the chi-refined bound (one stacked pass over the pair
-    marginals), the two-block inequalities on the random bipartition (one
+    odd-N MK against the chi-refined bound (from the pair marginals), the
+    two-block inequalities on the random bipartition (one
     covariance_inequality call per side gives both parities of m), and
     positive semidefiniteness of the covariance matrix of the 2N scenario
     observables, contracted from the stacked 1- and 2-party marginals.
-    The PSD checks wait in one queue per N; a full queue (PSD_STACK
-    trials), and each queue at the end, takes one stacked witness call per
-    state kind and one stacked Jacobi call, each smallest eigenvalue the
-    same bit for bit as on its own.  Each worst margin keeps its trial's
-    witness (see HarnessReport).
+    A trial's operator values and covariance inequalities are evaluated at
+    once; its bound and PSD checks wait in one queue per N.  A full queue
+    (PSD_STACK trials), and each queue at the end, takes one stacked eta,
+    chi and witness call per state kind and one stacked Jacobi call, each
+    trial's values the same bit for bit as on its own, so a clamp failure
+    in eta or chi surfaces when its stack runs.  Each worst margin keeps
+    its trial's witness (see HarnessReport).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -262,29 +272,46 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     span = n_max - n_min + 1
     svet_polys = {n: (svetlichny(n, "+"), svetlichny(n, "-")) for n in range(n_min, n_max + 1)}
     mk_polys = {n: mk(n) for n in range(n_min, n_max + 1) if n % 2 and n >= 3}
+    pairs = {n: list(itertools.combinations(range(1, n + 1), 2)) for n in mk_polys}
     worst = dict.fromkeys("svetlichny mk covariance covariance_distinct psd".split(), math.inf)
     witnesses = {}
     violations = 0
-    queues = {}  # N -> [(trial, S_t, state kind, amplitudes or density, locals)]
+    queues = {}  # N -> [(trial, S_t, state kind, amplitudes or density, locals, |values|)]
 
-    def psd_check(n, queue):
+    def fold(check, margin, tolerance, trial, n, start):
         nonlocal violations
+        # queues end out of trial order, so a tie goes to the earlier
+        # trial: the worst margin and its witness of a fold in trial order
+        tie = check in witnesses and margin == worst[check] and trial < witnesses[check][0]
+        if margin < worst[check] or tie:
+            worst[check] = margin
+            witnesses[check] = (trial, n, start)
+        if margin < -tolerance:
+            violations += 1
+
+    def kind_check(n, kind, part):
+        """The covariance stack and each trial's bound minima, for one state kind."""
+        states, locals_ = (np.stack([entry[i] for entry in part]) for i in (3, 4))
+        covariances = _covariance_stack(kind, states, locals_)[2]
+        minima = [svetlichny_bound(n, _etas(kind, states, locals_)).min(axis=1)]
+        if n in mk_polys:
+            marginals = _stacked_marginals(kind, states, pairs[n])
+            del states  # the largest array here: the chi pass need not hold it
+            chis = _chis(locals_, marginals, pairs[n])
+            minima.append(mk_bound_odd(n, chis[..., 0], chis[..., 1]).min(axis=1))
+        return covariances, np.transpose(minima).tolist()
+
+    def stack_check(n, queue):
         parts = [[entry for entry in queue if entry[2] == kind] for kind in ("pure", "mixed")]
-        covariances = [
-            _covariance_stack(kind, *(np.stack([entry[i] for entry in part]) for i in (3, 4)))[2]
-            for kind, part in zip(("pure", "mixed"), parts)
-            if part
-        ]
-        smallest = jacobi_eigenvalues(np.concatenate(covariances))[:, 0]
-        for (trial, start, *_), margin in zip(parts[0] + parts[1], smallest.tolist(), strict=True):
-            # queues end out of trial order, so a tie goes to the earlier
-            # trial: the worst margin and its witness of a fold in trial order
-            tie = "psd" in witnesses and margin == worst["psd"] and trial < witnesses["psd"][0]
-            if margin < worst["psd"] or tie:
-                worst["psd"] = margin
-                witnesses["psd"] = (trial, n, start)
-            if margin < -HARNESS_PSD_TOL:
-                violations += 1
+        checks = [kind_check(n, kind, part) for kind, part in zip(("pure", "mixed"), parts) if part]
+        smallest = jacobi_eigenvalues(np.concatenate([c for c, _ in checks]))[:, 0]
+        minima = [row for _, kind_minima in checks for row in kind_minima]
+        folded = zip(parts[0] + parts[1], minima, smallest.tolist(), strict=True)
+        for (trial, start, *_, values), (svet, *mk), margin in folded:
+            checks = zip(("svetlichny", "svetlichny", "mk"), (svet, svet, *mk), values)
+            for check, bound, value in checks:
+                fold(check, bound - value, HARNESS_SLACK_TOL, trial, n, start)
+            fold("psd", margin, HARNESS_PSD_TOL, trial, n, start)
 
     for trial in range(trials):
         n = n_min + trial % span
@@ -292,16 +319,8 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
         state = _random_state(rng, n)
         family = "planar" if rng.uniform() < 0.5 else "bloch"
         scenario = _random_scenario_from(rng, n, family)
-        margins = []  # (check, margin, tolerance); below -tolerance is a violation
-
-        report = best_svetlichny_bound(scenario, state)
-        for poly in svet_polys[n]:
-            value = abs(expectation(state, realize(poly, scenario)))
-            margins.append(("svetlichny", report.value - value, HARNESS_SLACK_TOL))
-        if n in mk_polys:
-            mk_report = best_mk_bound(scenario, state)
-            value = abs(expectation(state, realize(mk_polys[n], scenario)))
-            margins.append(("mk", mk_report.value - value, HARNESS_SLACK_TOL))
+        polys = svet_polys[n] + ((mk_polys[n],) if n in mk_polys else ())
+        values = [abs(expectation(state, realize(poly, scenario))) for poly in polys]
 
         full_mask = (1 << n) - 1
         while True:
@@ -316,23 +335,16 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
             c_op = _random_block(rng, scenario, rest)
             distinct = [obs.setting for obs in b_i] != [obs.setting for obs in b_j]
             for record in covariance_inequality(state, b_i, b_j, c_op):
-                margins.append(("covariance", record.slack, HARNESS_SLACK_TOL))
+                fold("covariance", record.slack, HARNESS_SLACK_TOL, trial, n, start)
                 if distinct:  # a diagnostic view of the same slack: never a violation
-                    margins.append(("covariance_distinct", record.slack, math.inf))
+                    fold("covariance_distinct", record.slack, math.inf, trial, n, start)
 
         queue = queues.setdefault(n, [])
-        queue.append((trial, start, state.kind, _state_array(state), scenario.locals))
+        queue.append((trial, start, state.kind, _state_array(state), scenario.locals, values))
         if len(queue) == PSD_STACK:
-            psd_check(n, queues.pop(n))
-
-        for check, margin, tolerance in margins:
-            if margin < worst[check]:
-                worst[check] = margin
-                witnesses[check] = (trial, n, start)
-            if margin < -tolerance:
-                violations += 1
+            stack_check(n, queues.pop(n))
     for n, queue in queues.items():
-        psd_check(n, queue)
+        stack_check(n, queue)
     return HarnessReport(
         trials=trials,
         worst_slack_svetlichny=worst["svetlichny"],

@@ -19,6 +19,8 @@ IMAG_TOL = 1e-10  # largest imaginary residue expectation() may discard
 PSD_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-13  # off-diagonal Frobenius norm at which Jacobi stops
 JACOBI_MAX_SWEEPS = 100
+_SLAB_ROWS = 64  # rows per pass of hermiticity_defect: 2 MB temporaries at 2**12
+_CHUNK = 1 << 16  # bytes per read of an input file
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -46,9 +48,15 @@ def _square(matrix) -> np.ndarray:
 
 
 def hermiticity_defect(matrix) -> float:
-    """Largest entrywise deviation of a matrix from its conjugate transpose."""
+    """Largest entrywise deviation of a matrix from its conjugate transpose,
+    taken over slabs of _SLAB_ROWS rows, so no full-size temporary is made;
+    a max is exact, so the value is that of the one-shot form (NaN too)."""
     arr = _square(matrix)
-    return float(np.max(np.abs(arr - arr.conj().T)))
+    worst = 0.0
+    for top in range(0, len(arr), _SLAB_ROWS):
+        slab = arr[top:top + _SLAB_ROWS] - arr[:, top:top + _SLAB_ROWS].conj().T
+        worst = np.max(np.abs(slab), initial=worst)  # a NaN carries through
+    return float(worst)
 
 
 def kron_chain(factors) -> np.ndarray:
@@ -108,8 +116,10 @@ class QuantumState:
         return cls(n, "pure", amps, None)
 
     @classmethod
-    def mixed(cls, density) -> "QuantumState":
-        rho = np.array(_square(density))
+    def mixed(cls, density, copy: bool = True) -> "QuantumState":
+        """``copy=False`` validates and freezes, in place, a square complex
+        array that no caller holds any more, such as a freshly read table."""
+        rho = np.array(_square(density), copy=copy)
         n = _parties_for_dim(rho.shape[0])
         if not np.isfinite(rho).all():
             raise InvariantViolation("density matrix has a non-finite entry")
@@ -461,20 +471,35 @@ def write_state_file(state: QuantumState, path) -> None:
 
 
 def _data_lines(path, kind: str):
-    """Yield the stripped nonblank lines of an ASCII input file, holding one
-    line of text at a time; lines break as in ``str.splitlines``."""
+    """Yield the stripped nonblank lines of an ASCII input file, reading it
+    in _CHUNK-byte pieces and holding one line of text at a time; lines
+    break as in ``str.splitlines``, a CR LF split across two pieces too."""
     empty = True
     with open(path, "rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise FileFormatError(f"{kind} file is not ASCII: line {number}: {exc}") from exc
-            for line in filter(None, map(str.strip, text.splitlines())):
+        for number, line in enumerate(_text_lines(handle), start=1):
+            if not line.isascii():  # latin-1 maps each byte back, for the message
+                try:
+                    line.encode("latin-1").decode("ascii")
+                except UnicodeDecodeError as exc:
+                    message = f"{kind} file is not ASCII: line {number}: {exc}"
+                    raise FileFormatError(message) from exc
+            if line := line.strip():
                 empty = False
                 yield line
     if empty:
         raise FileFormatError(f"empty {kind} file")
+
+
+def _text_lines(handle):
+    """The lines of a binary file, each byte read as its latin-1 character,
+    with their breaks."""
+    tail = ""
+    while chunk := handle.read(_CHUNK):
+        lines = (tail + chunk.decode("latin-1")).splitlines(keepends=True)
+        tail = lines.pop()  # it may be cut short, or end in a CR that a LF completes
+        yield from lines
+    if tail:
+        yield tail
 
 
 def _rows(lines, expected: int, what: str):
@@ -535,6 +560,6 @@ def read_state_file(path) -> QuantumState:
             raise FileFormatError(f"row {row}: bad number: {exc}") from exc
     entries = table.view(complex)
     try:
-        return QuantumState.pure(entries[:, 0]) if pure else QuantumState.mixed(entries)
+        return QuantumState.pure(entries[:, 0]) if pure else QuantumState.mixed(entries, copy=False)
     except ValueError as exc:
         raise FileFormatError(f"state file rejected: {exc}") from exc

@@ -188,10 +188,12 @@ class MeasurementScenario:
         return f"MeasurementScenario(n_parties={self.n_parties}, family={family!r})"
 
 
-def _bloch_form(local) -> tuple:
-    """(a0, (ax, ay, az)) of a Hermitian 2x2 local a0 I + a.sigma given as nested lists."""
-    (top, upper), (lower, bottom) = local
-    return (top.real + bottom.real) / 2.0, (upper.real, lower.imag, (top.real - bottom.real) / 2.0)
+def _bloch_form(locals_) -> tuple:
+    """(a0, a) of Hermitian 2x2 locals a0 I + a.sigma, over the leading axes
+    of a (..., 2, 2) stack: arrays of shapes (...) and (..., 3)."""
+    top, bottom = locals_[..., 0, 0].real, locals_[..., 1, 1].real
+    vector = [locals_[..., 0, 1].real, locals_[..., 1, 0].imag, (top - bottom) / 2.0]
+    return (top + bottom) / 2.0, np.stack(vector, axis=-1)
 
 
 def write_scenario_file(scenario: MeasurementScenario, path) -> None:
@@ -202,15 +204,12 @@ def write_scenario_file(scenario: MeasurementScenario, path) -> None:
         lines = [f"parties {n} family planar"]
         lines += [f"{t0!r} {t1!r}" for t0, t1 in scenario.angles]
     else:
+        directions = _bloch_form(scenario.locals)[1]
+        rebuilt = np.tensordot(directions, np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
+        if np.max(np.abs(rebuilt - scenario.locals)) > 1e-10:
+            raise ValueError("local operator is not of the Bloch form n.sigma")
         lines = [f"parties {n} family bloch"]
-        for pair in scenario.locals.tolist():
-            comps = []
-            for local in pair:
-                nx, ny, nz = _bloch_form(local)[1]
-                if np.max(np.abs(nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z - local)) > 1e-10:
-                    raise ValueError("local operator is not of the Bloch form n.sigma")
-                comps += [nx, ny, nz]
-            lines.append(" ".join(repr(c) for c in comps))
+        lines += [" ".join(map(repr, row)) for row in directions.reshape(n, 6).tolist()]
     with open(path, "w", encoding="ascii", newline="\n") as out:
         out.writelines(line + "\n" for line in lines)
 

@@ -12,6 +12,12 @@ the same draw sequences can be reproduced in any language from a seed:
 * ``normal()`` is Box-Muller on two uniforms u1, u2 drawn in that order:
   ``r = sqrt(-2 ln(1 - u1))``, ``a = 2 pi u2``; ``r cos(a)`` is returned
   first and ``r sin(a)`` is cached and returned by the next call
+* ``normals(k)`` is k calls of ``normal()`` as one block, a cached value
+  first and an odd last one cached.  The state after j draws is
+  ``state + j * 0x9E3779B97F4A7C15 (mod 2**64)`` (Steele, Lea & Flood,
+  OOPSLA 2014), so the block's u64s and uniforms are exact in numpy uint64
+  and float64; Box-Muller's log, cos and sin stay on ``math``, because
+  numpy's may differ from them in the last bit
 * ``below(n)`` is ``next_u64() % n`` (modulo bias is negligible for the
   small n used here)
 """
@@ -20,8 +26,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# the constants of next_u64 and uniform, as numpy uint64, in the order normals uses them
+_U64 = tuple(map(np.uint64, (_GAMMA, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 11)))
 
 
 class SplitMix64:
@@ -62,3 +72,25 @@ class SplitMix64:
         a = 2.0 * math.pi * u2
         self._spare = r * math.sin(a)
         return r * math.cos(a)
+
+    def normals(self, count: int) -> np.ndarray:
+        """``count`` normal() draws as one array, with the same state and
+        spare afterwards: the block rule above."""
+        if count < 0:
+            raise ValueError(f"need count >= 0, got {count}")
+        out = [self._spare] if count and self._spare is not None else []
+        if out:
+            self._spare = None
+        draws = 2 * ((count - len(out) + 1) // 2)
+        z = np.arange(1, draws + 1, dtype=np.uint64) * _U64[0] + np.uint64(self.state)  # mod 2**64
+        self.state = (self.state + draws * _GAMMA) & _MASK64
+        z = (z ^ (z >> _U64[1])) * _U64[2]
+        z = (z ^ (z >> _U64[3])) * _U64[4]
+        uniforms = (((z ^ (z >> _U64[5])) >> _U64[6]) * 2.0**-53).tolist()
+        for u1, u2 in zip(uniforms[0::2], uniforms[1::2]):
+            r = math.sqrt(-2.0 * math.log(1.0 - u1))
+            a = 2.0 * math.pi * u2
+            out += (r * math.cos(a), r * math.sin(a))
+        if len(out) > count:
+            self._spare = out.pop()
+        return np.array(out)

@@ -29,7 +29,7 @@ from bellbounds import (
     svetlichny,
     svetlichny_bound,
 )
-from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y
+from bellbounds.linalg import ID2, SIGMA_X, SIGMA_Y, _stacked_marginals, _state_array
 from bellbounds.observables import embed_local, planar_observable
 from bellbounds.rng import SplitMix64
 
@@ -188,6 +188,47 @@ class TestEta:
                     assert abs(got - mean * mean) <= tol
                 else:
                     assert abs(got - 1.0) <= tol
+
+
+def stacked_inputs(seed, n_parties, kind, count):
+    """``count`` states of one kind, each with its own scenario: planar and
+    Bloch in turn, and every third one with +-I locals on party 1."""
+    sigma = planar_observable(0.7)
+    with_identity = [(ID2, sigma), (sigma, -ID2), (-ID2, ID2)]
+    states, scenarios = [], []
+    for index in range(count):
+        states.append(random_states(seed + index, n_parties)[kind == "mixed"])
+        scenario = random_scenario(seed + index, n_parties, ("planar", "bloch")[index % 2])
+        if index % 3 == 2:
+            pairs = [with_identity[index // 3 % 3]] + list(scenario.locals[1:])
+            scenario = MeasurementScenario(pairs)
+        scenarios.append(scenario)
+    return states, scenarios
+
+
+class TestStackedKernels:
+    """Each state's slice of the stacked eta and chi kernels, as verify runs
+    them, is its K = 1 call bit for bit, eta and chi included."""
+
+    COUNT = 2 * bounds._CHI_SLICE + 3  # a stack of several chi passes, the last one short
+
+    @pytest.mark.parametrize("n_parties", range(2, 7))
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_each_slice_is_its_single_call(self, n_parties, kind):
+        states, scenarios = stacked_inputs(7100 + 40 * n_parties, n_parties, kind, self.COUNT)
+        assert any((s.locals[:, :, 0, 0] + s.locals[:, :, 1, 1]).any() for s in scenarios)
+        assert any(not (s.locals[:, :, 0, 0] + s.locals[:, :, 1, 1]).any() for s in scenarios)
+        stack = np.array([_state_array(state) for state in states])
+        locals_ = np.array([scenario.locals for scenario in scenarios])
+        pairs = list(itertools.combinations(range(1, n_parties + 1), 2))
+        etas = bounds._etas(kind, stack, locals_)
+        chis = bounds._chis(locals_, _stacked_marginals(kind, stack, pairs), pairs)
+        assert etas.shape == (self.COUNT, n_parties) and chis.shape == (self.COUNT, len(pairs), 2)
+        for index, (state, scenario) in enumerate(zip(states, scenarios)):
+            single = [eta(scenario, state, party) for party in range(1, n_parties + 1)]
+            assert etas[index].tobytes() == np.array(single).tobytes()
+            single = [chi(scenario, state, *pair) for pair in pairs]
+            assert chis[index].tobytes() == np.array(single).tobytes()
 
 
 class TestClamped:

@@ -144,6 +144,25 @@ class TestSplitMix64:
         assert abs(float(np.mean(sample))) < 0.03
         assert abs(float(np.std(sample)) - 1.0) < 0.03
 
+    def test_normals_block_equals_single_draws(self):
+        # blocks of odd and even sizes, some starting on a pending spare,
+        # over more than 10**5 draws; the state and spare match after each
+        block, single = SplitMix64(2024), SplitMix64(2024)
+        sizes = [0, 1, 2, 3, 8, 7, 64, 1, 1, 5, 128, 33] * 100 + [80001]
+        drawn = 0
+        for index, size in enumerate(sizes):
+            if index % 5 == 4:  # a lone draw leaves a spare pending
+                assert block.normal() == single.normal()
+            assert block.normals(size).tolist() == [single.normal() for _ in range(size)]
+            assert (block.state, block._spare) == (single.state, single._spare)
+            drawn += size
+        assert drawn >= 10**5
+        assert block.next_u64() == single.next_u64()
+
+    def test_normals_rejects_a_negative_count(self):
+        with pytest.raises(ValueError):
+            SplitMix64(1).normals(-1)
+
     def test_deterministic_restart(self):
         a = SplitMix64(42)
         b = SplitMix64(42)
@@ -308,9 +327,11 @@ class TestVerifyBoundsRandom:
             reports[bound] = verify_bounds_random(seed, 60, 2, 6)
             assert sum(stacks) == 60 and max(stacks) <= bound
         first = reports.pop(1)
-        assert set(first.witnesses) >= {"svetlichny", "covariance", "psd"}
+        assert set(first.witnesses) >= {"svetlichny", "mk", "covariance", "psd"}
         for report in reports.values():
             assert report == first
+            for check in ("svetlichny", "mk", "psd"):
+                assert report.witnesses[check] == first.witnesses[check], check
 
     def test_tied_psd_margins_go_to_the_first_trial(self, monkeypatch):
         # A stack takes its pure states before its mixed ones, so with a
@@ -320,6 +341,22 @@ class TestVerifyBoundsRandom:
         report = verify_bounds_random(seed, 20, 2, 2)
         assert report.worst_psd_eigen == 0.0
         assert report.witnesses["psd"] == (0, 2, seed)
+
+    def test_tied_bound_margins_go_to_the_first_trial(self, monkeypatch):
+        # Every N = 3 trial gets eta = chi+- = 0 and |value| = 0, so every
+        # svetlichny margin is 4 sqrt(2) and every mk margin 2 sqrt(2).  With
+        # a mixed state first, the later pure trials of its stack reach the
+        # fold before trial 0.
+        seed = next(s for s in range(100) if SplitMix64(s).uniform() < 0.25)
+        monkeypatch.setattr(experiments, "expectation", lambda state, operator: 0.0)
+        monkeypatch.setattr(experiments, "_etas", lambda kind, states, locals_: np.zeros(locals_.shape[:2]))
+        monkeypatch.setattr(
+            experiments, "_chis", lambda locals_, marginals, pairs: np.zeros(marginals.shape[:2] + (2,))
+        )
+        report = verify_bounds_random(seed, 20, 3, 3)
+        assert report.worst_slack_svetlichny == 4.0 * math.sqrt(2.0)
+        assert report.worst_slack_mk == 2.0 * math.sqrt(2.0)
+        assert report.witnesses["svetlichny"] == report.witnesses["mk"] == (0, 3, seed)
 
     def test_no_normal_is_cached_at_a_trial_start(self, monkeypatch):
         # otherwise S_t alone would not fix the trial's draws

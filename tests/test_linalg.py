@@ -24,6 +24,7 @@ from bellbounds.linalg import (
     SIGMA_Z,
     CovarianceWitness,
     covariance_witness,
+    hermiticity_defect,
     jacobi_eigenvalues,
     kron_chain,
     pauli_tensor,
@@ -158,6 +159,19 @@ class TestQuantumState:
             with pytest.raises(InvariantViolation, match="non-finite"):
                 QuantumState.mixed(rho)
 
+    def test_mixed_copies_the_callers_array(self):
+        rho = random_states(150, 3)[1].density.copy()
+        state = QuantumState.mixed(rho)
+        kept = state.density.copy()
+        rho[0, 0] = 5.0
+        rho[1:] = 0.0
+        assert np.array_equal(state.density, kept)
+        assert not state.density.flags.writeable
+        # copy=False takes over an array that no caller holds any more
+        fresh = kept.copy()
+        assert np.shares_memory(QuantumState.mixed(fresh, copy=False).density, fresh)
+        assert not fresh.flags.writeable
+
     def test_density_matrix_matches_outer_product(self):
         state = ghz_state(2)
         rho = state.density_matrix()
@@ -170,6 +184,33 @@ class TestQuantumState:
         for bad in (1, 13):
             with pytest.raises(ValueError):
                 ghz_state(bad)
+
+
+def one_shot_hermiticity_defect(matrix) -> float:
+    arr = np.asarray(matrix, dtype=complex)
+    return float(np.max(np.abs(arr - arr.conj().T)))
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("offset", [-1, 0, 1, linalg._SLAB_ROWS + 1])
+    def test_slabs_give_the_one_shot_value(self, offset):
+        # sizes either side of one and of two slabs; the max is exact, so
+        # the value is the same bit for bit, a NaN included
+        size = linalg._SLAB_ROWS + offset
+        gen = np.random.default_rng(160 + size)
+        for _ in range(3):
+            random = gen.normal(size=(size, size)) + 1j * gen.normal(size=(size, size))
+            hermitian = (random + random.conj().T) / 2.0
+            nearly = hermitian.copy()
+            nearly[gen.integers(size), gen.integers(size)] += 1e-13j
+            matrices = [random, hermitian, nearly, random.real.copy()]
+            for matrix in matrices:
+                assert hermiticity_defect(matrix) == one_shot_hermiticity_defect(matrix)
+            for row, col in ((0, 0), (size - 1, 0), (gen.integers(size), gen.integers(size))):
+                poisoned = hermitian.copy()
+                poisoned[row, col] = complex(math.nan, 0.0)
+                assert math.isnan(hermiticity_defect(poisoned))
+        assert hermiticity_defect(np.eye(size)) == 0.0
 
 
 class TestExpectation:
@@ -817,12 +858,32 @@ class TestStateFiles:
             for index, state in enumerate(random_states(500 + n, n)):
                 path = tmp_path / f"{n}-{index}.state"
                 write_state_file(state, path)
-                crlf = tmp_path / f"{n}-{index}-crlf.state"
-                crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-                for each in (path, crlf):
+                variants = [path]
+                for name, newline in (("crlf", b"\r\n"), ("cr", b"\r")):
+                    variants.append(tmp_path / f"{n}-{index}-{name}.state")
+                    variants[-1].write_bytes(path.read_bytes().replace(b"\n", newline))
+                for each in variants:
                     got = _read_outcome(read_state_file, each)
                     assert got == _read_outcome(text_read_state_file, each)
                     assert got[0] == state.kind
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 8, 64])
+    def test_chunk_boundaries_do_not_change_the_reading(self, tmp_path, monkeypatch, chunk):
+        # Small pieces split every CR LF, and every other break, across two
+        # reads somewhere: each file reads as with the default size, which
+        # test_reader_matches_the_whole_text_oracle checks against the oracle.
+        files = [data for data, _ in STATE_CORPUS + MULTI_FAULT_STATES]
+        for state in random_states(520, 2):
+            write_state_file(state, tmp_path / "written.state")
+            written = (tmp_path / "written.state").read_bytes()
+            files += [written.replace(b"\n", newline) for newline in (b"\n", b"\r", b"\r\n")]
+        path = tmp_path / "case.state"
+        for data in files:
+            path.write_bytes(data)
+            want = _read_outcome(read_state_file, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_CHUNK", chunk)
+                assert _read_outcome(read_state_file, path) == want, data
 
     @staticmethod
     def _traced_peak(call) -> int:
@@ -842,13 +903,16 @@ class TestStateFiles:
 
     def test_reader_holds_one_line_of_text(self, tmp_path):
         # At N = 8 a mixed file holds 2.9 MB of text for a 1 MB matrix.  The
-        # table, QuantumState.mixed's copy and its checks take about four
-        # matrices; the whole-text reader, holding the text and its lines
-        # as well, took about seven.
+        # table, which becomes the state, and the eigenvalue check's copy
+        # take about two matrices, whichever line breaks the file has; the
+        # whole-text reader, holding the text and its lines as well, took
+        # about six with LF breaks and eight with CR or CR LF.
         state = random_states(8008, 8)[1]
         path = tmp_path / "mixed8.state"
         write_state_file(state, path)
-        bound = 6 * state.density.nbytes
-        peak = self._traced_peak(lambda: read_state_file(path))
-        assert peak < bound
-        assert self._traced_peak(lambda: text_read_state_file(path)) > bound
+        bound = 3 * state.density.nbytes
+        for newline in (b"\n", b"\r", b"\r\n"):
+            broken = tmp_path / "broken.state"
+            broken.write_bytes(path.read_bytes().replace(b"\n", newline))
+            assert self._traced_peak(lambda: read_state_file(broken)) < bound, newline
+            assert self._traced_peak(lambda: text_read_state_file(broken)) > bound, newline
