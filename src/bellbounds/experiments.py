@@ -567,11 +567,10 @@ def _objective(config: OptimizerConfig) -> Callable[[np.ndarray], np.ndarray]:
     if config.objective == "max-gap":
 
         def gap(batch: np.ndarray) -> np.ndarray:
-            reports = [
-                best_svetlichny_bound(_scenario_from_params(params, n, config.family), state)
-                for params in batch
-            ]
-            return np.array([-(report.known_tsirelson - report.value) for report in reports])
+            locals_ = _scenario_from_params(batch, n * len(batch), config.family).locals
+            states = np.broadcast_to(state.amplitudes, (len(batch), 1 << n))
+            etas = _etas("pure", states, locals_.reshape(len(batch), n, 2, 2, 2))
+            return -(2.0 ** (n - 1) * math.sqrt(2.0) - svetlichny_bound(n, etas).min(axis=1))
 
         return gap
     table = (svetlichny(n, "-") if config.objective == "max-svetlichny" else mk(n)).table
@@ -597,9 +596,9 @@ def maximize_violation(config: OptimizerConfig) -> OptimizationResult:
     computed once: a value is sum_s c_s sum_k T[k] prod_p n_p[s_p][k_p]
     over the settings' unit Bloch vectors n_p, contracted one party at a
     time for the whole batch, with no scenario or 2**N x 2**N operator per
-    evaluation.  'max-gap' builds each point's scenario and refined bound.
-    The best point is built into a validated scenario once, so the
-    returned angles pass the same checks as any other scenario's.
+    evaluation.  'max-gap' reads a batch's etas from one scenario of its B N
+    parties, in one stacked call.  The best point is built into a validated
+    scenario once, so the returned angles pass any scenario's checks.
     """
     n = config.n_parties
     dims = (2 if config.family == "planar" else 4) * n

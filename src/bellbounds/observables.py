@@ -136,39 +136,39 @@ def embed_local(local, party: int, n_parties: int) -> np.ndarray:
 class MeasurementScenario:
     """Two dichotomic observables per party, parties numbered 1..N.
 
-    ``pairs`` gives each party's (setting 0, setting 1) 2x2 locals, party 1
-    first.  The scenario builds every observable itself, labelled with the
-    party and setting of its slot, so each local is validated once, here.
-    ``locals`` stacks the observables' locals as one read-only (N, 2, 2, 2)
-    complex array, ``locals[p - 1, s]`` being party p's setting s, built
-    once for every stacked contraction that reads the scenario.
+    Built from each party's (setting 0, setting 1) 2x2 locals, party 1
+    first, each slot checked once as a ``DichotomicObservable``; the first
+    failing slot in party order is reported.  Only the checked locals are
+    kept, as one read-only (N, 2, 2, 2) complex array ``locals``,
+    ``locals[p - 1, s]`` being party p's setting s, which every route reads.
     ``angles`` records the per-party (theta0, theta1) pairs when
     :meth:`planar` built the scenario, and is None otherwise.
     """
 
-    __slots__ = ("pairs", "locals", "angles")
+    __slots__ = ("locals", "angles")
 
     def __init__(self, pairs):
-        self.pairs = tuple(
-            (DichotomicObservable(first, party, 0), DichotomicObservable(second, party, 1))
+        self.locals = np.array([
+            (DichotomicObservable(first, party, 0).local, DichotomicObservable(second, party, 1).local)
             for party, (first, second) in enumerate(pairs, start=1)
-        )
-        if not self.pairs:
+        ])
+        if not len(self.locals):
             raise ValueError("scenario needs at least one party")
-        self.locals = np.array([[obs.local for obs in pair] for pair in self.pairs])
         self.locals.setflags(write=False)
         self.angles = None
 
     @property
     def n_parties(self) -> int:
-        return len(self.pairs)
+        return len(self.locals)
 
     def observable(self, party: int, setting: int) -> DichotomicObservable:
         if not 1 <= party <= self.n_parties:
             raise ValueError(f"party {party} out of range 1..{self.n_parties}")
         if setting not in (0, 1):
             raise ValueError(f"setting must be 0 or 1, got {setting}")
-        return self.pairs[party - 1][setting]
+        obs = object.__new__(DichotomicObservable)  # a view of the checked slot, not rechecked
+        obs.local, obs.party, obs.setting = self.locals[party - 1, setting], int(party), int(setting)
+        return obs
 
     @classmethod
     def planar(cls, angles) -> "MeasurementScenario":

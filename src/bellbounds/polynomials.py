@@ -156,7 +156,7 @@ def realize(polynomial: BellPolynomial, scenario: MeasurementScenario) -> np.nda
     block = polynomial.table.astype(complex).reshape((2,) * n + (1, 1))
     for party in range(n, 0, -1):
         shape = block.shape[: party - 1] + (2 * block.shape[-1],) * 2
-        a0, a1 = (obs.local[:, None, :, None] for obs in scenario.pairs[party - 1])
+        a0, a1 = (local[:, None, :, None] for local in scenario.locals[party - 1])
         # kron(local, sub-block) at every leading index, by broadcasting
         lifted = (a1 * block[..., 1, None, :, None, :]).reshape(shape)
         block = (a0 * block[..., 0, None, :, None, :]).reshape(shape)

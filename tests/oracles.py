@@ -249,7 +249,7 @@ def marginal_covariance_witness(state, scenario):
     ``reduced_state`` and one einsum per party and per unordered pair.
     """
     n = scenario.n_parties
-    locals_ = np.array([[obs.local for obs in pair] for pair in scenario.pairs])
+    locals_ = scenario.locals
     v = np.empty((n, 2))
     m = np.empty((n, 2, n, 2))
     for p in range(n):

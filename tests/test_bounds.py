@@ -140,7 +140,7 @@ class TestEta:
         # bound's three roundings costs u of 2**(N-1) sqrt(2).
         u = np.finfo(float).eps / 2
         scenario = random_scenario(4500 + n_parties, n_parties, family)
-        blochs = [[bloch_vector(obs.local) for obs in pair] for pair in scenario.pairs]
+        blochs = [[bloch_vector(local) for local in pair] for pair in scenario.locals]
         x = min(float(np.linalg.norm(np.cross(a, c))) for a, c in blochs)
         d = 69 * u
         tol = 2.0 ** (n_parties - 1) * (min(math.sqrt(d), d / x) / 2.0 + 6 * u)

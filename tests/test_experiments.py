@@ -625,6 +625,41 @@ class TestMaximizeViolation:
         # one scenario, built for the returned angles
         assert len(validations) == 2 * 3
 
+    @pytest.mark.parametrize("family", ["planar", "bloch"])
+    def test_max_gap_scores_a_round_in_one_pass(self, monkeypatch, family):
+        def per_point(*args):
+            raise AssertionError("max-gap scored a point on its own")
+
+        calls = {"rounds": 0, "scenarios": 0, "etas": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        search = experiments.nelder_mead
+        monkeypatch.setattr(experiments, "best_svetlichny_bound", per_point)
+        monkeypatch.setattr(
+            experiments, "_scenario_from_params", counted("scenarios", _scenario_from_params)
+        )
+        monkeypatch.setattr(experiments, "_etas", counted("etas", experiments._etas))
+        monkeypatch.setattr(
+            experiments,
+            "nelder_mead",
+            lambda objective, *args, **kwargs: search(counted("rounds", objective), *args, **kwargs),
+        )
+        config = OptimizerConfig(
+            n_parties=3, objective="max-gap", family=family, multistarts=2, max_evals=300
+        )
+        result = maximize_violation(config)
+        assert result.evals >= 2 * (len(result.angles) + 1) and calls["rounds"] > 1
+        # one scenario and one stacked eta call per round, one scenario for
+        # the returned angles
+        assert calls["etas"] == calls["rounds"]
+        assert calls["scenarios"] == calls["rounds"] + 1
+
     def test_twelve_parties_within_budget(self):
         # The budget is 10 s.  Through realize and expectation one N = 12
         # evaluation took about 1.2 s (one core of a 2-core Intel Xeon), so

@@ -542,7 +542,7 @@ class TestJacobi:
 
 
 def all_observables(scenario):
-    return [obs for pair in scenario.pairs for obs in pair]
+    return [scenario.observable(p, s) for p in range(1, scenario.n_parties + 1) for s in (0, 1)]
 
 
 class TestCovarianceWitness:

@@ -85,8 +85,7 @@ def permuted(state, scenario, perm):
         axes = [*perm, *(n + p for p in perm)]
         rho = state.density.reshape((2,) * (2 * n)).transpose(axes)
         moved = QuantumState.mixed(rho.reshape(state.dim, state.dim))
-    pairs = [[obs.local for obs in scenario.pairs[p]] for p in perm]
-    return moved, MeasurementScenario(pairs)
+    return moved, MeasurementScenario(scenario.locals[list(perm)])
 
 
 def rotated(state, scenario, unitaries):
@@ -102,8 +101,8 @@ def rotated(state, scenario, unitaries):
             rho = on_party(unitary.conj(), on_party(unitary, rho, party).T, party).T
         moved = QuantumState.mixed(rho)
     pairs = [
-        [unitary @ obs.local @ unitary.conj().T for obs in pair]
-        for unitary, pair in zip(unitaries, scenario.pairs)
+        [unitary @ local @ unitary.conj().T for local in pair]
+        for unitary, pair in zip(unitaries, scenario.locals)
     ]
     return moved, MeasurementScenario(pairs)
 
@@ -122,8 +121,8 @@ def svetlichny_tol(n_parties, scenario, d):
     moves by at most min(sqrt(d), d / x), x = min_p |a x c| the smallest
     sqrt(1 - eta) (test_bounds.py::TestEta::test_closed_form_on_bloch_vectors)."""
     x = min(
-        float(np.linalg.norm(np.cross(*(bloch_vector(obs.local) for obs in pair))))
-        for pair in scenario.pairs
+        float(np.linalg.norm(np.cross(*(bloch_vector(local) for local in pair))))
+        for pair in scenario.locals
     )
     return 2.0 ** (n_parties - 1) * (min(math.sqrt(d), d / x) / 2.0 + 6 * U)
 

@@ -261,8 +261,10 @@ class TestMeasurementScenario:
         assert not scenario.locals.flags.writeable
 
     def test_stacked_contractions_read_the_locals_array(self):
-        # a scenario whose array holds another scenario's locals reads as
-        # that scenario in the witness and the chi scan
+        # the locals array is the scenario's only copy of its settings, so a
+        # scenario whose array holds another scenario's locals reads as that
+        # scenario in the witness, the chi scan, realize and observable()
+        assert MeasurementScenario.__slots__ == ("locals", "angles")
         scenario = MeasurementScenario.planar([(0.3 * p, 1.0 - 0.7 * p) for p in range(3)])
         other = MeasurementScenario.planar([(0.5 - p, 0.2 * p) for p in range(3)])
         original = covariance_witness(ghz_state(3), scenario).c
@@ -272,6 +274,52 @@ class TestMeasurementScenario:
         assert not np.array_equal(got, original)
         for n, m in ((1, 2), (1, 3), (2, 3)):
             assert chi(scenario, ghz_state(3), n, m) == chi(other, ghz_state(3), n, m)
+        operator = realize(svetlichny(3, "-"), scenario)
+        assert operator.tobytes() == realize(svetlichny(3, "-"), other).tobytes()
+        for party in (1, 2, 3):
+            for setting in (0, 1):
+                got = scenario.observable(party, setting).local
+                assert got.tobytes() == other.observable(party, setting).local.tobytes()
+
+    def test_observable_is_a_view_of_its_slot(self):
+        scenario = MeasurementScenario([(SIGMA_X, SIGMA_Y), (SIGMA_Z, SIGMA_X)])
+        for party, setting in ((1, 0), (2, 1), (np.int64(2), np.int64(0))):
+            obs = scenario.observable(party, setting)
+            assert isinstance(obs, DichotomicObservable)
+            assert type(obs.party) is int and type(obs.setting) is int
+            assert (obs.party, obs.setting) == (party, setting)
+            assert not obs.local.flags.writeable
+            assert np.shares_memory(obs.local, scenario.locals)
+            assert np.array_equal(obs.local, scenario.locals[party - 1, setting])
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            (
+                [(SIGMA_X, SIGMA_Z), (SIGMA_X, 0.5 * SIGMA_X), (1j * SIGMA_X, SIGMA_Y)],
+                InvariantViolation,
+                "party 2 setting 1: involution check failed with residual 7.500e-01",
+            ),
+            (
+                [(np.array([[np.nan, 1.0], [1.0, 0.0]]), SIGMA_Z)],
+                ValueError,
+                "dichotomic observable has a non-finite entry: [(nan+0j), (1+0j), (1+0j), 0j]",
+            ),
+            ([], ValueError, "scenario needs at least one party"),
+            ([(SIGMA_X,)], ValueError, None),
+            ([(SIGMA_X, SIGMA_Y, SIGMA_Z)], ValueError, None),
+            ([([1.0, 0.0], [0.0, 1.0])], ValueError, None),
+        ],
+        ids=["bad-slot", "nan", "empty", "one-setting", "three-settings", "two-vectors"],
+    )
+    def test_malformed_input_raises_as_before(self, pairs, error, message):
+        # each slot is checked before the locals are stacked, so a party
+        # with one or three settings, or two 2-vectors that would stack into
+        # one 2x2 matrix, is rejected; the first failing slot is reported
+        with pytest.raises(error) as raised:
+            MeasurementScenario(pairs)
+        if message is not None:
+            assert str(raised.value) == message
 
     def test_rejects_observables_in_place_of_locals(self):
         pair = (DichotomicObservable(SIGMA_X, 1, 0), DichotomicObservable(SIGMA_Y, 1, 1))

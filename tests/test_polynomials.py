@@ -233,7 +233,7 @@ class TestRealize:
         # on the scenario
         build = bloch_scenario if bloch else planar_scenario
         scenario = build(flat[: (4 if bloch else 2) * n])
-        swapped = MeasurementScenario([(a1.local, a0.local) for a0, a1 in scenario.pairs])
+        swapped = MeasurementScenario([(a1, a0) for a0, a1 in scenario.locals])
         polys = (svetlichny(n, "-"), svetlichny(n, "+"), mk(n), dyadic_polynomial(n))
         for poly in polys:
             flipped = {tuple(1 - b for b in k): c for k, c in poly.terms.items()}
