@@ -157,27 +157,19 @@ def write_sweep_csv(rows, path) -> None:
 
 def _random_scenario_from(rng: SplitMix64, n_parties: int, family: str) -> MeasurementScenario:
     """Scenario draw; planar takes 2N uniform angles (per party: setting 0
-    then 1), bloch takes 3 normals per observable in the same order."""
+    then 1), bloch one block of 3 normals per observable in the same order,
+    each triple whose squares sum to 0 drawn again, as one by one would."""
     if family == "planar":
-        angles = []
-        for _ in range(n_parties):
-            t0 = 2.0 * math.pi * rng.uniform()
-            t1 = 2.0 * math.pi * rng.uniform()
-            angles.append((t0, t1))
-        return MeasurementScenario.planar(angles)
+        return MeasurementScenario.planar(
+            [(2.0 * math.pi * rng.uniform(), 2.0 * math.pi * rng.uniform()) for _ in range(n_parties)]
+        )
     if family != "bloch":
         raise ValueError(f"unknown family {family!r}")
-    directions = []
-    for _ in range(n_parties):
-        pair = []
-        for _ in range(2):
-            while True:
-                direction = (rng.normal(), rng.normal(), rng.normal())
-                if math.sqrt(sum(c * c for c in direction)) > 0.0:
-                    break
-            pair.append(direction)
-        directions.append((pair[0], pair[1]))
-    return MeasurementScenario.bloch(directions)
+    triples = np.empty((0, 3))
+    while len(triples) < 2 * n_parties:
+        drawn = rng.normals(3 * (2 * n_parties - len(triples))).reshape(-1, 3)
+        triples = np.concatenate([triples, drawn[(drawn * drawn).sum(axis=1) > 0.0]])
+    return MeasurementScenario.bloch(triples.reshape(n_parties, 2, 3))
 
 
 def _haar_pure(rng: SplitMix64, n_parties: int) -> QuantumState:
@@ -455,7 +447,7 @@ def _tensor_value(tensor: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np
 
 def _scenario_from_params(params, n_parties: int, family: str) -> MeasurementScenario:
     if family == "planar":
-        return MeasurementScenario.planar(np.reshape(params, (n_parties, 2)))
+        return MeasurementScenario.planar(np.reshape(params, (n_parties, 2)).tolist())
     return MeasurementScenario.bloch(_setting_rows(params, n_parties, family)[0])
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg import (
     DIM_CAP,
+    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -61,23 +62,39 @@ def validate_dichotomic(matrix) -> DichotomicViolation | None:
     return None
 
 
-def planar_observable(theta: float) -> np.ndarray:
-    """cos(theta) sigma_x + sin(theta) sigma_y, the equatorial qubit observable."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    return math.cos(theta) * SIGMA_X + math.sin(theta) * SIGMA_Y
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """Each 2x2 A of a (..., 2, 2) stack if it equals A^H exactly, else (A + A^H) / 2."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    exact = (stack == adjoint).all(axis=(-2, -1), keepdims=True)
+    return np.where(exact, stack, (stack + adjoint) / 2.0)
 
 
-def bloch_observable(nx: float, ny: float, nz: float) -> np.ndarray:
-    """n.sigma for the direction (nx, ny, nz), normalized here."""
-    comps = (float(nx), float(ny), float(nz))
-    if not all(math.isfinite(c) for c in comps):
-        raise ValueError(f"direction must be finite, got {comps!r}")
-    norm = math.sqrt(sum(c * c for c in comps))
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    return (comps[0] * SIGMA_X + comps[1] * SIGMA_Y + comps[2] * SIGMA_Z) / norm
+def planar_observable(theta) -> np.ndarray:
+    """cos(theta) sigma_x + sin(theta) sigma_y, the equatorial qubit observable;
+    an array of angles gives the (..., 2, 2) stack of them."""
+    thetas = np.asarray(theta, dtype=float)
+    flat = thetas.ravel().tolist()
+    for value in flat:
+        if not math.isfinite(value):
+            raise ValueError(f"theta must be finite, got {value!r}")
+    cos, sin = (np.reshape(list(map(f, flat)), thetas.shape + (1, 1)) for f in (math.cos, math.sin))
+    return cos * SIGMA_X + sin * SIGMA_Y
+
+
+def bloch_observable(nx, ny, nz) -> np.ndarray:
+    """n.sigma for the direction (nx, ny, nz), normalized here; arrays of
+    components give the (..., 2, 2) stack of them."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (nx, ny, nz)))
+    with np.errstate(over="ignore"):  # inf, as the sum of Python floats gives
+        norm = np.sqrt((x * x + y * y) + z * z)
+    if not ((0.0 < norm) & (norm < math.inf)).all():  # name the first bad direction
+        for comps, length in zip(zip(*(c.ravel().tolist() for c in (x, y, z))), norm.ravel().tolist()):
+            if not all(math.isfinite(c) for c in comps):
+                raise ValueError(f"direction must be finite, got {comps!r}")
+            if length == 0.0:
+                raise ValueError("direction must be nonzero")
+    x, y, z, norm = (a[..., None, None] for a in (x, y, z, norm))
+    return (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / norm
 
 
 class DichotomicObservable:
@@ -103,11 +120,8 @@ class DichotomicObservable:
             raise ValueError(f"party index must be >= 1, got {party}")
         if setting not in (0, 1):
             raise ValueError(f"setting must be 0 or 1, got {setting}")
-        (a, b), (c, d) = arr.tolist()
-        if a.imag or d.imag or b != c.conjugate():  # skips the numpy work when exact
-            arr = (arr + arr.conj().T) / 2.0
-        arr.setflags(write=False)
-        self.local = arr
+        self.local = _hermitian_part(arr)
+        self.local.setflags(write=False)
         self.party = party
         self.setting = setting
 
@@ -137,10 +151,12 @@ class MeasurementScenario:
     """Two dichotomic observables per party, parties numbered 1..N.
 
     Built from each party's (setting 0, setting 1) 2x2 locals, party 1
-    first, each slot checked once as a ``DichotomicObservable``; the first
-    failing slot in party order is reported.  Only the checked locals are
-    kept, as one read-only (N, 2, 2, 2) complex array ``locals``,
-    ``locals[p - 1, s]`` being party p's setting s, which every route reads.
+    first, as one (N, 2, 2, 2) stack.  A vectorized screen passes the slots
+    within DICHOTOMIC_TOL / 2; each other slot, in party order, is checked
+    as a ``DichotomicObservable``, which alone decides.  Only the checked
+    locals (their Hermitian parts) are kept, as one read-only (N, 2, 2, 2)
+    complex array ``locals``, ``locals[p - 1, s]`` being party p's setting
+    s, which every route reads.
     ``angles`` records the per-party (theta0, theta1) pairs when
     :meth:`planar` built the scenario, and is None otherwise.
     """
@@ -148,12 +164,17 @@ class MeasurementScenario:
     __slots__ = ("locals", "angles")
 
     def __init__(self, pairs):
-        self.locals = np.array([
-            (DichotomicObservable(first, party, 0).local, DichotomicObservable(second, party, 1).local)
-            for party, (first, second) in enumerate(pairs, start=1)
-        ])
-        if not len(self.locals):
+        stack = np.array(pairs, dtype=complex)
+        if not len(stack):
             raise ValueError("scenario needs at least one party")
+        if stack.shape[1:] != (2, 2, 2):
+            raise ValueError(f"scenario locals must have shape (N, 2, 2, 2), got {stack.shape}")
+        with np.errstate(all="ignore"):  # a NaN or inf slot fails the screen
+            residues = np.abs([stack - stack.conj().swapaxes(-1, -2), stack @ stack - ID2])
+        flagged = ~(residues.max(axis=(0, 3, 4)) <= DICHOTOMIC_TOL / 2)
+        for party, setting in np.argwhere(flagged).tolist():
+            DichotomicObservable(stack[party, setting], party + 1, setting)  # raises or accepts
+        self.locals = _hermitian_part(stack)
         self.locals.setflags(write=False)
         self.angles = None
 
@@ -174,14 +195,15 @@ class MeasurementScenario:
     def planar(cls, angles) -> "MeasurementScenario":
         """Build from per-party (theta0, theta1) radians, recording the angles."""
         angle_pairs = tuple((float(t0), float(t1)) for t0, t1 in angles)
-        scenario = cls((planar_observable(t0), planar_observable(t1)) for t0, t1 in angle_pairs)
+        scenario = cls(planar_observable(angle_pairs))
         scenario.angles = angle_pairs
         return scenario
 
     @classmethod
     def bloch(cls, directions) -> "MeasurementScenario":
         """Build from per-party ((nx, ny, nz) for setting 0, same for setting 1)."""
-        return cls((bloch_observable(*d0), bloch_observable(*d1)) for d0, d1 in directions)
+        components = np.asarray(directions, dtype=float)
+        return cls(bloch_observable(*np.moveaxis(components, -1, 0)) if len(components) else components)
 
     def __repr__(self):
         family = "planar" if self.angles is not None else "general"

@@ -9,11 +9,11 @@ the same draw sequences can be reproduced in any language from a seed:
   ``z ^= z >> 27;  z *= 0x94D049BB133111EB  (mod 2**64)``
   ``z ^= z >> 31``
 * ``uniform()`` takes the top 53 bits: ``(z >> 11) * 2.0**-53`` in [0, 1)
-* ``normal()`` is Box-Muller on two uniforms u1, u2 drawn in that order:
-  ``r = sqrt(-2 ln(1 - u1))``, ``a = 2 pi u2``; ``r cos(a)`` is returned
-  first and ``r sin(a)`` is cached and returned by the next call
-* ``normals(k)`` is k calls of ``normal()`` as one block, a cached value
-  first and an odd last one cached.  The state after j draws is
+* ``normals(k)`` is k standard normal draws, Box-Muller on two uniforms
+  u1, u2 drawn in that order: ``r = sqrt(-2 ln(1 - u1))``, ``a = 2 pi u2``;
+  ``r cos(a)`` is drawn first and ``r sin(a)`` is cached as the next draw,
+  so a block starts with a cached value and caches an odd last one.
+  ``normal()`` is ``normals(1)``.  The state after j uniforms is
   ``state + j * 0x9E3779B97F4A7C15 (mod 2**64)`` (Steele, Lea & Flood,
   OOPSLA 2014), so the block's u64s and uniforms are exact in numpy uint64
   and float64; Box-Muller's log, cos and sin stay on ``math``, because
@@ -61,21 +61,12 @@ class SplitMix64:
         return self.next_u64() % n
 
     def normal(self) -> float:
-        """Standard normal variate (Box-Muller, pair cached)."""
-        if self._spare is not None:
-            value = self._spare
-            self._spare = None
-            return value
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        a = 2.0 * math.pi * u2
-        self._spare = r * math.sin(a)
-        return r * math.cos(a)
+        """One standard normal variate: ``normals(1)``."""
+        return float(self.normals(1)[0])
 
     def normals(self, count: int) -> np.ndarray:
-        """``count`` normal() draws as one array, with the same state and
-        spare afterwards: the block rule above."""
+        """``count`` standard normal variates as one array: Box-Muller pairs,
+        a pending spare first and an odd last one kept, by the rule above."""
         if count < 0:
             raise ValueError(f"need count >= 0, got {count}")
         out = [self._spare] if count and self._spare is not None else []

@@ -44,6 +44,13 @@ its batched ``_setting_rows`` and ``_tensor_value``.
 and ``text_read_state_file`` are the file layer as it ran on whole-file
 text, the references for the bytes the streamed writers produce and for
 the arrays and messages of the streamed reader.
+``scalar_normal`` is one Box-Muller draw on its own, the reference for the
+block draws of ``SplitMix64.normals``.  ``slot_planar_observable``,
+``slot_bloch_observable`` and ``slot_by_slot_locals`` build and check a
+scenario one 2x2 slot at a time, and ``triple_loop_directions`` draws its
+Bloch directions one triple at a time: the bit-for-bit references for the
+stacked builders, the stacked check of ``MeasurementScenario`` and the
+block draw of ``_random_scenario_from``.
 """
 
 import itertools
@@ -590,3 +597,97 @@ def text_read_state_file(path):
         raise
     except ValueError as exc:
         raise FileFormatError(f"state file rejected: {exc}") from exc
+
+
+def scalar_normal(rng) -> float:
+    """One Box-Muller draw as ``SplitMix64.normal`` made it alone, on the
+    stream's own state and pending spare: the reference for ``normals``."""
+    if rng._spare is not None:
+        value, rng._spare = rng._spare, None
+        return value
+    u1 = rng.uniform()
+    u2 = rng.uniform()
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))
+    a = 2.0 * math.pi * u2
+    rng._spare = r * math.sin(a)
+    return r * math.cos(a)
+
+
+def slot_planar_observable(theta) -> np.ndarray:
+    """cos(theta) sigma_x + sin(theta) sigma_y for one angle, as the scalar
+    builder made it."""
+    from bellbounds.linalg import SIGMA_X, SIGMA_Y
+
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    return math.cos(theta) * SIGMA_X + math.sin(theta) * SIGMA_Y
+
+
+def slot_bloch_observable(nx, ny, nz) -> np.ndarray:
+    """n.sigma / |n| for one direction, as the scalar builder made it."""
+    from bellbounds.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+    comps = (float(nx), float(ny), float(nz))
+    if not all(math.isfinite(c) for c in comps):
+        raise ValueError(f"direction must be finite, got {comps!r}")
+    norm = math.sqrt(sum(c * c for c in comps))
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    return (comps[0] * SIGMA_X + comps[1] * SIGMA_Y + comps[2] * SIGMA_Z) / norm
+
+
+def slot_by_slot_locals(pairs) -> np.ndarray:
+    """The (N, 2, 2, 2) locals of a scenario built one slot at a time: each
+    local checked by ``validate_dichotomic`` in party order, the first
+    failure raised, and stored as A when A equals its adjoint exactly, else
+    as (A + A^H) / 2.  The reference for ``MeasurementScenario``."""
+    from bellbounds import InvariantViolation
+    from bellbounds.observables import validate_dichotomic
+
+    slots = []
+    for party, pair in enumerate(pairs, start=1):
+        first, second = pair
+        for setting, local in enumerate((first, second)):
+            arr = np.array(local, dtype=complex)
+            report = validate_dichotomic(arr)
+            if report is not None:
+                raise InvariantViolation(f"party {party} setting {setting}: {report}")
+            (a, b), (c, d) = arr.tolist()
+            if a.imag or d.imag or b != c.conjugate():
+                arr = (arr + arr.conj().T) / 2.0
+            slots.append(arr)
+    if not slots:
+        raise ValueError("scenario needs at least one party")
+    return np.array(slots).reshape(-1, 2, 2, 2)
+
+
+def slot_by_slot_planar(angles) -> np.ndarray:
+    """Planar locals, one scalar builder call per slot."""
+    return slot_by_slot_locals(
+        (slot_planar_observable(t0), slot_planar_observable(t1)) for t0, t1 in angles
+    )
+
+
+def slot_by_slot_bloch(directions) -> np.ndarray:
+    """Bloch locals, one scalar builder call per slot."""
+    return slot_by_slot_locals(
+        (slot_bloch_observable(*d0), slot_bloch_observable(*d1)) for d0, d1 in directions
+    )
+
+
+def triple_loop_directions(normal, n_parties) -> list:
+    """The harness's Bloch draw one triple at a time from the zero-argument
+    ``normal``: per party, setting 0 then 1, each a triple of normals drawn
+    again while its norm is 0."""
+    directions = []
+    for _ in range(n_parties):
+        pair = []
+        for _ in range(2):
+            while True:
+                direction = (normal(), normal(), normal())
+                if math.sqrt(sum(c * c for c in direction)) > 0.0:
+                    break
+            pair.append(direction)
+        directions.append((pair[0], pair[1]))
+    return directions

@@ -12,7 +12,6 @@ from bellbounds import (
     experiments,
     ghz_state,
     mk,
-    observables,
     svetlichny,
 )
 from bellbounds.experiments import (
@@ -50,6 +49,9 @@ from oracles import (
     poly_ghz_value,
     random_states,
     scalar_nelder_mead,
+    scalar_normal,
+    slot_by_slot_bloch,
+    triple_loop_directions,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -145,19 +147,47 @@ class TestSplitMix64:
         assert abs(float(np.std(sample)) - 1.0) < 0.03
 
     def test_normals_block_equals_single_draws(self):
-        # blocks of odd and even sizes, some starting on a pending spare,
-        # over more than 10**5 draws; the state and spare match after each
+        # blocks of odd and even sizes and lone normal() calls, some starting
+        # on a pending spare, over more than 10**5 draws, against one
+        # Box-Muller draw at a time; the state and spare match after each
         block, single = SplitMix64(2024), SplitMix64(2024)
         sizes = [0, 1, 2, 3, 8, 7, 64, 1, 1, 5, 128, 33] * 100 + [80001]
         drawn = 0
         for index, size in enumerate(sizes):
             if index % 5 == 4:  # a lone draw leaves a spare pending
-                assert block.normal() == single.normal()
-            assert block.normals(size).tolist() == [single.normal() for _ in range(size)]
+                lone = block.normal()
+                assert type(lone) is float and lone == scalar_normal(single)
+                assert (block.state, block._spare) == (single.state, single._spare)
+            assert block.normals(size).tolist() == [scalar_normal(single) for _ in range(size)]
             assert (block.state, block._spare) == (single.state, single._spare)
             drawn += size
         assert drawn >= 10**5
         assert block.next_u64() == single.next_u64()
+
+    def test_bloch_draw_skips_a_zero_triple_as_the_triple_loop(self):
+        # a stream whose first triple is (0, -0, 0) and whose third squares
+        # to 0 (1e-170**2 underflows): the block draw tops up and ends where
+        # the triple-by-triple draw ends, with the same directions
+        class ListStream:
+            def __init__(self, values):
+                self.values, self.used = values, 0
+
+            def normal(self):
+                self.used += 1
+                return self.values[self.used - 1]
+
+            def normals(self, count):
+                self.used += count
+                return np.array(self.values[self.used - count:self.used])
+
+        tail = np.random.default_rng(77).normal(size=60).tolist()
+        values = [0.0, -0.0, 0.0, 0.3, -1.2, 0.5, 1e-170, 0.0, -1e-170] + tail
+        for n_parties in (1, 2, 3, 5):
+            block, single = ListStream(values), ListStream(values)
+            got = experiments._random_scenario_from(block, n_parties, "bloch").locals
+            want = slot_by_slot_bloch(triple_loop_directions(single.normal, n_parties))
+            assert got.tobytes() == want.tobytes()
+            assert block.used == single.used == 3 * (2 * n_parties + 2)
 
     def test_normals_rejects_a_negative_count(self):
         with pytest.raises(ValueError):
@@ -609,21 +639,20 @@ class TestMaximizeViolation:
 
         monkeypatch.setattr(experiments, "realize", dense)
         monkeypatch.setattr(experiments, "expectation", dense)
-        validations = []
-        validate = observables.validate_dichotomic
+        builds = []
 
-        def counted(matrix):
-            validations.append(1)
-            return validate(matrix)
+        def counted(params, n_parties, family):
+            builds.append((n_parties, family))
+            return _scenario_from_params(params, n_parties, family)
 
-        monkeypatch.setattr(observables, "validate_dichotomic", counted)
+        monkeypatch.setattr(experiments, "_scenario_from_params", counted)
         config = OptimizerConfig(
             n_parties=3, objective=objective, family=family, multistarts=2, max_evals=300
         )
         result = maximize_violation(config)
         assert result.evals >= 2 * (len(result.angles) + 1)
         # one scenario, built for the returned angles
-        assert len(validations) == 2 * 3
+        assert builds == [(3, family)]
 
     @pytest.mark.parametrize("family", ["planar", "bloch"])
     def test_max_gap_scores_a_round_in_one_pass(self, monkeypatch, family):

@@ -51,8 +51,8 @@ angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
 
 def random_complex(rng, shape):
-    re = np.array([rng.normal() for _ in range(int(np.prod(shape)))])
-    im = np.array([rng.normal() for _ in range(int(np.prod(shape)))])
+    re = rng.normals(int(np.prod(shape)))
+    im = rng.normals(int(np.prod(shape)))
     return (re + 1j * im).reshape(shape)
 
 
@@ -372,8 +372,8 @@ class TestPauliTensor:
 def seeded_symmetric(rng, size, kind):
     """A random symmetric, scaled Gram or diagonal matrix from the stream."""
     if kind == "diagonal":
-        return np.diag([rng.normal() for _ in range(size)])
-    raw = np.array([rng.normal() for _ in range(size * size)]).reshape(size, size)
+        return np.diag(rng.normals(size))
+    raw = rng.normals(size * size).reshape(size, size)
     if kind == "gram":
         return (raw @ raw.T) * 10.0 ** (6.0 * rng.uniform() - 3.0)
     return (raw + raw.T) / 2.0
@@ -384,9 +384,7 @@ class TestJacobi:
         rng = SplitMix64(11)
         for size in (1, 2, 3, 5, 8, 10, 12):
             for _ in range(20):
-                raw = np.array(
-                    [rng.normal() for _ in range(size * size)]
-                ).reshape(size, size)
+                raw = rng.normals(size * size).reshape(size, size)
                 sym = (raw + raw.T) / 2.0
                 got = jacobi_eigenvalues(sym)
                 want = np.linalg.eigvalsh(sym)
@@ -535,7 +533,7 @@ class TestJacobi:
         # Frobenius norm ~15 once stalled the off-diagonal test at the
         # cancellation floor of ||A||**2 * eps, far above JACOBI_OFF_TOL**2
         rng = SplitMix64(12)
-        vecs = np.array([rng.normal() for _ in range(100)]).reshape(10, 10)
+        vecs = rng.normals(100).reshape(10, 10)
         gram = vecs @ vecs.T
         got = jacobi_eigenvalues(gram)
         assert np.max(np.abs(got - np.linalg.eigvalsh(gram))) < 1e-9

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,21 @@ from bellbounds.observables import (
 )
 from bellbounds.polynomials import realize, svetlichny
 
-from oracles import random_scenario, text_write_scenario_file
+from bellbounds import observables
+from bellbounds.experiments import _random_scenario_from
+from bellbounds.rng import SplitMix64
+
+from oracles import (
+    random_scenario,
+    scalar_normal,
+    slot_bloch_observable,
+    slot_by_slot_bloch,
+    slot_by_slot_locals,
+    slot_by_slot_planar,
+    slot_planar_observable,
+    text_write_scenario_file,
+    triple_loop_directions,
+)
 
 
 class TestPlanarObservable:
@@ -325,6 +340,221 @@ class TestMeasurementScenario:
         pair = (DichotomicObservable(SIGMA_X, 1, 0), DichotomicObservable(SIGMA_Y, 1, 1))
         with pytest.raises(TypeError):
             MeasurementScenario([pair])
+
+
+def seeded_angles(gen, n_parties):
+    """Angles of every size: near 0, around a turn, and up to 1e300."""
+    scale = 10.0 ** gen.integers(-3, 301, size=(n_parties, 2)).astype(float)
+    return (gen.uniform(-1.0, 1.0, size=(n_parties, 2)) * scale).tolist()
+
+
+def seeded_directions(gen, n_parties):
+    """Directions scaled by 1e-5 .. 1e4, some components +0.0 or -0.0."""
+    raw = gen.normal(size=(n_parties, 2, 3)) * 10.0 ** gen.integers(-5, 5, size=(n_parties, 2, 1))
+    raw[gen.uniform(size=raw.shape) < 0.2] = 0.0
+    raw[gen.uniform(size=raw.shape) < 0.1] = -0.0
+    raw[(raw == 0.0).all(axis=2), 0] = -1.5  # no zero direction
+    return raw.tolist()
+
+
+AXIS_DIRECTIONS = [
+    tuple(sign if index == axis else zero for index, zero in enumerate(zeros))
+    for axis in range(3)
+    for sign in (1.0, -1.0, 2.5, -1e-5, 1e4)
+    for zeros in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0))
+]
+
+
+class TestStackedScenarioBuild:
+    """The stacked builders and the stacked check against the scenario built
+    one 2x2 slot at a time (oracles.slot_by_slot_locals), bit for bit."""
+
+    @pytest.mark.parametrize("n_parties", range(1, 13))
+    def test_locals_equal_the_slot_by_slot_build(self, n_parties):
+        gen = np.random.default_rng(9100 + n_parties)
+        for seed in range(20):
+            angles = seeded_angles(gen, n_parties)
+            got = MeasurementScenario.planar(angles).locals
+            assert got.tobytes() == slot_by_slot_planar(angles).tobytes()
+            directions = seeded_directions(gen, n_parties)
+            got = MeasurementScenario.bloch(directions).locals
+            assert got.tobytes() == slot_by_slot_bloch(directions).tobytes()
+            # the harness's draws, against the triple-by-triple draw
+            stream, twin = SplitMix64(seed), SplitMix64(seed)
+            got = _random_scenario_from(stream, n_parties, "planar").locals
+            want = [(2.0 * math.pi * twin.uniform(), 2.0 * math.pi * twin.uniform())
+                    for _ in range(n_parties)]
+            assert got.tobytes() == slot_by_slot_planar(want).tobytes()
+            got = _random_scenario_from(stream, n_parties, "bloch").locals
+            want = triple_loop_directions(lambda: scalar_normal(twin), n_parties)
+            assert got.tobytes() == slot_by_slot_bloch(want).tobytes()
+            assert (stream.state, stream._spare) == (twin.state, twin._spare)
+
+    def test_axes_and_signed_zeros_equal_the_slot_by_slot_build(self):
+        pairs = list(zip(AXIS_DIRECTIONS, AXIS_DIRECTIONS[::-1]))
+        got = MeasurementScenario.bloch(pairs).locals
+        assert got.tobytes() == slot_by_slot_bloch(pairs).tobytes()
+        stack = bloch_observable(*np.moveaxis(np.array(AXIS_DIRECTIONS), -1, 0))
+        for local, direction in zip(stack, AXIS_DIRECTIONS):
+            assert local.tobytes() == slot_bloch_observable(*direction).tobytes()
+        angles = [0.0, -0.0, math.pi, -math.pi / 2, 2.0**60, -1e15, 1e300, 5e-324]
+        stack = planar_observable(np.reshape(angles, (2, 2, 2)))
+        assert stack.shape == (2, 2, 2, 2, 2)
+        for local, theta in zip(stack.reshape(-1, 2, 2), angles):
+            assert local.tobytes() == slot_planar_observable(theta).tobytes()
+
+    @pytest.mark.parametrize("family", ["planar", "bloch", "drawn-planar", "drawn-bloch", "file"])
+    def test_a_valid_build_makes_no_scalar_check(self, monkeypatch, tmp_path, family):
+        checks = []
+        validate = observables.validate_dichotomic
+
+        def counted(matrix):
+            checks.append(1)
+            return validate(matrix)
+
+        monkeypatch.setattr(observables, "validate_dichotomic", counted)
+        gen = np.random.default_rng(9200)
+        for n_parties in range(1, 13):
+            if family == "planar":
+                MeasurementScenario.planar(seeded_angles(gen, n_parties))
+            elif family == "bloch":
+                MeasurementScenario.bloch(seeded_directions(gen, n_parties))
+            elif family == "file":
+                path = tmp_path / "scenario"
+                kind = ("planar", "bloch")[n_parties % 2]
+                write_scenario_file(random_scenario(9300 + n_parties, n_parties, kind), path)
+                read_scenario_file(path)
+            else:
+                _random_scenario_from(SplitMix64(n_parties), n_parties, family[6:])
+        assert checks == []
+        DichotomicObservable(SIGMA_X, 1, 0)  # the scalar check still runs on its own
+        assert checks == [1]
+
+    @pytest.mark.parametrize("check", ["hermitian", "involution"])
+    def test_a_slot_between_half_and_full_tolerance_is_confirmed(self, monkeypatch, check):
+        # the screen flags residues above tol / 2; the scalar check decides
+        if check == "hermitian":
+            def slot(residue):
+                return SIGMA_X + residue * 1j * np.array([[0.0, 0.0], [1.0, 0.0]])
+        else:
+            def slot(residue):
+                return (1.0 + residue / 2.0) * SIGMA_Z
+        checks = []
+        validate = observables.validate_dichotomic
+
+        def counted(matrix):
+            report = validate(matrix)
+            checks.append(report)
+            return report
+
+        monkeypatch.setattr(observables, "validate_dichotomic", counted)
+        for residue in (0.6e-12, 0.8e-12, 0.99e-12):
+            local = slot(residue)
+            scenario = MeasurementScenario([(SIGMA_X, SIGMA_Y), (SIGMA_Z, local)])
+            assert checks == [None]  # one flagged slot, checked once and accepted
+            want = slot_by_slot_locals([(SIGMA_X, SIGMA_Y), (SIGMA_Z, local)])
+            assert scenario.locals.tobytes() == want.tobytes()
+            checks.clear()
+        for residue in (1.05e-12, 2e-12, 0.5):
+            local = slot(residue)
+            with pytest.raises(InvariantViolation) as raised:
+                MeasurementScenario([(SIGMA_X, SIGMA_Y), (SIGMA_Z, local)])
+            report = validate(local)
+            assert report.check == check
+            assert str(raised.value) == f"party 2 setting 1: {report}"
+            checks.clear()
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            # messages as measured before the stacked build
+            (lambda: MeasurementScenario.bloch([((1e200, 0.0, 0.0), (0.0, 0.0, 1.0))]),
+             InvariantViolation,
+             "party 1 setting 0: involution check failed with residual 1.000e+00"),
+            (lambda: MeasurementScenario.bloch([((0.0, 0.0, 1.0), (1e200, 1e200, -1e200))]),
+             InvariantViolation,
+             "party 1 setting 1: involution check failed with residual 1.000e+00"),
+            (lambda: MeasurementScenario.bloch([((1e-160, 0.0, 0.0), (0.0, 0.0, 1.0))]),
+             InvariantViolation,
+             "party 1 setting 0: involution check failed with residual 1.113e-05"),
+            (lambda: MeasurementScenario.bloch(
+                [((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), ((0.0, 1e-160, 1e-160), (0.0, 0.0, 1.0))]),
+             InvariantViolation,
+             "party 2 setting 0: involution check failed with residual 1.113e-05"),
+            (lambda: MeasurementScenario.bloch([((0.0, 0.0, 1.0), (0.0, -0.0, 0.0))]),
+             ValueError, "direction must be nonzero"),
+            (lambda: MeasurementScenario.bloch([((0.0, 0.0, 1.0), (1e-170, 0.0, 0.0))]),
+             ValueError, "direction must be nonzero"),
+            (lambda: MeasurementScenario.bloch(
+                [((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), ((math.nan, 0.0, 1.0), (0.0, 0.0, 1.0))]),
+             ValueError, "direction must be finite, got (nan, 0.0, 1.0)"),
+            (lambda: MeasurementScenario.bloch([((0.0, -math.inf, 1.0), (0.0, 0.0, 0.0))]),
+             ValueError, "direction must be finite, got (0.0, -inf, 1.0)"),
+            (lambda: MeasurementScenario.bloch([((0.0, 1.0), (1.0, 0.0))]),
+             TypeError, "bloch_observable() missing 1 required positional argument: 'nz'"),
+            (lambda: MeasurementScenario.bloch([((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))]),
+             TypeError, "bloch_observable() takes 3 positional arguments but 4 were given"),
+            (lambda: MeasurementScenario.bloch([]),
+             ValueError, "scenario needs at least one party"),
+            (lambda: MeasurementScenario.planar([(0.1, 0.2), (0.3, math.inf)]),
+             ValueError, "theta must be finite, got inf"),
+            (lambda: MeasurementScenario.planar([(math.nan, 0.2)]),
+             ValueError, "theta must be finite, got nan"),
+            (lambda: MeasurementScenario.planar([(0.1, 0.2, 0.3)]),
+             ValueError, "too many values to unpack (expected 2)"),
+            (lambda: MeasurementScenario.planar([]),
+             ValueError, "scenario needs at least one party"),
+        ],
+        ids=["bloch-1e200", "bloch-1e200-setting-1", "bloch-1e-160", "bloch-1e-160-party-2",
+             "bloch-zero", "bloch-underflow", "bloch-nan", "bloch-inf", "bloch-2-components",
+             "bloch-4-components", "bloch-empty", "planar-inf", "planar-nan",
+             "planar-three-angles", "planar-empty"],
+    )
+    def test_malformed_builds_raise_as_before_without_warnings(self, build, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as raised:
+                build()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            (
+                [(SIGMA_X, SIGMA_Z), (SIGMA_X, 0.5 * SIGMA_X), (1j * SIGMA_X, SIGMA_Y)],
+                InvariantViolation,
+                "party 2 setting 1: involution check failed with residual 7.500e-01",
+            ),
+            (
+                [(np.array([[np.nan, 1.0], [1.0, 0.0]]), SIGMA_Z)],
+                ValueError,
+                "dichotomic observable has a non-finite entry: [(nan+0j), (1+0j), (1+0j), 0j]",
+            ),
+            (
+                [(SIGMA_X, SIGMA_Y), (SIGMA_Z, np.array([[1.0, 0.0], [0.0, np.inf]]))],
+                ValueError,
+                "dichotomic observable has a non-finite entry: [(1+0j), 0j, 0j, (inf+0j)]",
+            ),
+            ([], ValueError, "scenario needs at least one party"),
+            # the stack's shape is named where the slot-by-slot build failed
+            # to unpack a pair or to check a 2-vector
+            ([(SIGMA_X,)], ValueError,
+             "scenario locals must have shape (N, 2, 2, 2), got (1, 1, 2, 2)"),
+            ([(SIGMA_X, SIGMA_Y, SIGMA_Z)], ValueError,
+             "scenario locals must have shape (N, 2, 2, 2), got (1, 3, 2, 2)"),
+            ([([1.0, 0.0], [0.0, 1.0])], ValueError,
+             "scenario locals must have shape (N, 2, 2, 2), got (1, 2, 2)"),
+        ],
+        ids=["bad-slot", "nan", "inf", "empty", "one-setting", "three-settings", "two-vectors"],
+    )
+    def test_malformed_locals_raise_without_warnings(self, pairs, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as raised:
+                MeasurementScenario(pairs)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 class TestScenarioFiles:
