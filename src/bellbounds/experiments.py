@@ -155,21 +155,20 @@ def write_sweep_csv(rows, path) -> None:
             handle.write(",".join(f"{getattr(row, name):.15g}" for name in names) + "\n")
 
 
-def _random_scenario_from(rng: SplitMix64, n_parties: int, family: str) -> MeasurementScenario:
-    """Scenario draw; planar takes 2N uniform angles (per party: setting 0
-    then 1), bloch one block of 3 normals per observable in the same order,
-    each triple whose squares sum to 0 drawn again, as one by one would."""
+def _scenario_draw(rng: SplitMix64, n_parties: int, family: str):
+    """A scenario's raw draws, unbuilt: planar takes 2N uniform angles (per
+    party: setting 0 then 1) as N pairs, bloch one block of 3 normals per
+    observable in the same order, each triple whose squares sum to 0 drawn
+    again, as one by one would, as an (N, 2, 3) array."""
     if family == "planar":
-        return MeasurementScenario.planar(
-            [(2.0 * math.pi * rng.uniform(), 2.0 * math.pi * rng.uniform()) for _ in range(n_parties)]
-        )
+        return [(2.0 * math.pi * rng.uniform(), 2.0 * math.pi * rng.uniform()) for _ in range(n_parties)]
     if family != "bloch":
         raise ValueError(f"unknown family {family!r}")
     triples = np.empty((0, 3))
     while len(triples) < 2 * n_parties:
         drawn = rng.normals(3 * (2 * n_parties - len(triples))).reshape(-1, 3)
         triples = np.concatenate([triples, drawn[(drawn * drawn).sum(axis=1) > 0.0]])
-    return MeasurementScenario.bloch(triples.reshape(n_parties, 2, 3))
+    return triples.reshape(n_parties, 2, 3)
 
 
 def _haar_pure(rng: SplitMix64, n_parties: int) -> QuantumState:
@@ -193,11 +192,6 @@ def _random_state(rng: SplitMix64, n_parties: int) -> QuantumState:
     return _haar_pure(rng, n_parties)
 
 
-def _random_block(rng: SplitMix64, scenario, parties) -> list:
-    """The observable of one random setting per listed party, in that order."""
-    return [scenario.observable(party, rng.below(2)) for party in parties]
-
-
 @dataclass(frozen=True)
 class HarnessReport:
     """Worst margins seen by verify_bounds_random.
@@ -208,8 +202,9 @@ class HarnessReport:
     draws whose B_i and B_j settings differ (+inf when there was none):
     a draw with B_i = B_j has both sides 0 at m = 1, which pins
     worst_slack_covariance at 0.  witnesses maps each check to the
-    (trial, N, stream state S at its first draw) of its worst margin, the
-    first on ties; verify_bounds_random(S, 1, N, N) replays that trial.
+    (trial, N, stream state S at its first draw, state kind, scenario
+    family) of its worst margin, the first on ties;
+    verify_bounds_random(S, 1, N, N) replays that trial.
     Both stay out of to_text, so the verify stdout keeps its lines.
     """
 
@@ -248,13 +243,15 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     covariance_inequality call per side gives both parities of m), and
     positive semidefiniteness of the covariance matrix of the 2N scenario
     observables, contracted from the stacked 1- and 2-party marginals.
-    A trial's operator values and covariance inequalities are evaluated at
-    once; its bound and PSD checks wait in one queue per N.  A full queue
-    (PSD_STACK trials), and each queue at the end, takes one stacked eta,
-    chi and witness call per state kind and one stacked Jacobi call, each
-    trial's values the same bit for bit as on its own, so a clamp failure
-    in eta or chi surfaces when its stack runs.  Each worst margin keeps
-    its trial's witness (see HarnessReport).
+    A trial only draws; its draws wait in one queue per N.  A full queue
+    (PSD_STACK trials), and each queue at the end, builds one scenario per
+    family over its trials' parties (one screen), each trial reading its
+    N as a view; then evaluates, in trial order, each trial's operator
+    values and covariance inequalities; then makes one stacked eta, chi
+    and witness call per state kind and one stacked Jacobi call.  Every
+    value is the same bit for bit as on the trial's own, so a failed check
+    or clamp surfaces when its queue runs.  Each worst margin keeps its
+    trial's witness (see HarnessReport).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -268,22 +265,22 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
     worst = dict.fromkeys("svetlichny mk covariance covariance_distinct psd".split(), math.inf)
     witnesses = {}
     violations = 0
-    queues = {}  # N -> [(trial, S_t, state kind, amplitudes or density, locals, |values|)]
+    queues = {}  # N -> [(witness, state, scenario draw, block settings)]
 
-    def fold(check, margin, tolerance, trial, n, start):
+    def fold(check, margin, tolerance, witness):
         nonlocal violations
         # queues end out of trial order, so a tie goes to the earlier
         # trial: the worst margin and its witness of a fold in trial order
-        tie = check in witnesses and margin == worst[check] and trial < witnesses[check][0]
+        tie = check in witnesses and margin == worst[check] and witness[0] < witnesses[check][0]
         if margin < worst[check] or tie:
             worst[check] = margin
-            witnesses[check] = (trial, n, start)
+            witnesses[check] = witness
         if margin < -tolerance:
             violations += 1
 
     def kind_check(n, kind, part):
         """The covariance stack and each trial's bound minima, for one state kind."""
-        states, locals_ = (np.stack([entry[i] for entry in part]) for i in (3, 4))
+        states, locals_ = (np.stack([entry[i] for entry in part]) for i in (2, 3))
         covariances = _covariance_stack(kind, states, locals_)[2]
         minima = [svetlichny_bound(n, _etas(kind, states, locals_)).min(axis=1)]
         if n in mk_polys:
@@ -293,27 +290,48 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
             minima.append(mk_bound_odd(n, chis[..., 0], chis[..., 1]).min(axis=1))
         return covariances, np.transpose(minima).tolist()
 
+    def trial_check(n, witness, state, scenario, blocks):
+        """Fold one trial's covariance inequalities; its |values| and stack entry."""
+        polys = svet_polys[n] + ((mk_polys[n],) if n in mk_polys else ())
+        values = [abs(expectation(state, realize(poly, scenario))) for poly in polys]
+        slots = [[scenario.observable(p, s) for s in (0, 1)] for p in range(1, n + 1)]
+        for side in (blocks[:3], blocks[3:]):
+            b_i, b_j, c_op = ([slots[p - 1][s] for p, s in block] for block in side)
+            distinct = side[0] != side[1]
+            for record in covariance_inequality(state, b_i, b_j, c_op):
+                fold("covariance", record.slack, HARNESS_SLACK_TOL, witness)
+                if distinct:  # a diagnostic view of the same slack: never a violation
+                    fold("covariance_distinct", record.slack, math.inf, witness)
+        return witness, state.kind, _state_array(state), scenario.locals, values
+
     def stack_check(n, queue):
-        parts = [[entry for entry in queue if entry[2] == kind] for kind in ("pure", "mixed")]
+        views = {}
+        for family in ("planar", "bloch"):
+            draws = [entry[2] for entry in queue if entry[0][4] == family]
+            if draws:  # one build, so one screen, over all the family's parties
+                build = getattr(MeasurementScenario, family)
+                views[family] = iter(build(np.concatenate(draws)).parts(n))
+        entries = [
+            trial_check(n, witness, state, next(views[witness[4]]), blocks)
+            for witness, state, _, blocks in queue
+        ]
+        parts = [[entry for entry in entries if entry[1] == kind] for kind in ("pure", "mixed")]
         checks = [kind_check(n, kind, part) for kind, part in zip(("pure", "mixed"), parts) if part]
         smallest = jacobi_eigenvalues(np.concatenate([c for c, _ in checks]))[:, 0]
         minima = [row for _, kind_minima in checks for row in kind_minima]
         folded = zip(parts[0] + parts[1], minima, smallest.tolist(), strict=True)
-        for (trial, start, *_, values), (svet, *mk), margin in folded:
+        for (witness, *_, values), (svet, *mk), margin in folded:
             checks = zip(("svetlichny", "svetlichny", "mk"), (svet, svet, *mk), values)
             for check, bound, value in checks:
-                fold(check, bound - value, HARNESS_SLACK_TOL, trial, n, start)
-            fold("psd", margin, HARNESS_PSD_TOL, trial, n, start)
+                fold(check, bound - value, HARNESS_SLACK_TOL, witness)
+            fold("psd", margin, HARNESS_PSD_TOL, witness)
 
     for trial in range(trials):
         n = n_min + trial % span
         start = rng.state  # normals come in pairs per trial: none is cached here
         state = _random_state(rng, n)
         family = "planar" if rng.uniform() < 0.5 else "bloch"
-        scenario = _random_scenario_from(rng, n, family)
-        polys = svet_polys[n] + ((mk_polys[n],) if n in mk_polys else ())
-        values = [abs(expectation(state, realize(poly, scenario))) for poly in polys]
-
+        draw = _scenario_draw(rng, n, family)
         full_mask = (1 << n) - 1
         while True:
             mask = rng.next_u64() & full_mask
@@ -321,18 +339,14 @@ def verify_bounds_random(seed: int, trials: int, n_min: int, n_max: int) -> Harn
                 break
         x_parties = [p for p in range(1, n + 1) if mask & (1 << (p - 1))]
         y_parties = [p for p in range(1, n + 1) if p not in x_parties]
-        for own, rest in ((x_parties, y_parties), (y_parties, x_parties)):
-            b_i = _random_block(rng, scenario, own)
-            b_j = _random_block(rng, scenario, own)
-            c_op = _random_block(rng, scenario, rest)
-            distinct = [obs.setting for obs in b_i] != [obs.setting for obs in b_j]
-            for record in covariance_inequality(state, b_i, b_j, c_op):
-                fold("covariance", record.slack, HARNESS_SLACK_TOL, trial, n, start)
-                if distinct:  # a diagnostic view of the same slack: never a violation
-                    fold("covariance_distinct", record.slack, math.inf, trial, n, start)
-
+        # (party, setting) per block: B_i, B_j, C with X as own, then with Y
+        blocks = [
+            [(party, rng.below(2)) for party in parties]
+            for own, rest in ((x_parties, y_parties), (y_parties, x_parties))
+            for parties in (own, own, rest)
+        ]
         queue = queues.setdefault(n, [])
-        queue.append((trial, start, state.kind, _state_array(state), scenario.locals, values))
+        queue.append(((trial, n, start, state.kind, family), state, draw, blocks))
         if len(queue) == PSD_STACK:
             stack_check(n, queues.pop(n))
     for n, queue in queues.items():

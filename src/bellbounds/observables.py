@@ -191,6 +191,19 @@ class MeasurementScenario:
         obs.local, obs.party, obs.setting = self.locals[party - 1, setting], int(party), int(setting)
         return obs
 
+    def parts(self, size: int) -> list:
+        """The scenarios of each run of ``size`` parties, in order: views of
+        the checked slots, not rechecked, each with its own angles."""
+        if size < 1 or self.n_parties % size:
+            raise ValueError(f"{self.n_parties} parties do not split into runs of {size}")
+        views = []
+        for first in range(0, self.n_parties, size):
+            view = object.__new__(MeasurementScenario)
+            view.locals = self.locals[first:first + size]
+            view.angles = None if self.angles is None else self.angles[first:first + size]
+            views.append(view)
+        return views
+
     @classmethod
     def planar(cls, angles) -> "MeasurementScenario":
         """Build from per-party (theta0, theta1) radians, recording the angles."""

@@ -15,8 +15,9 @@ factored ``realize``; ``dense_covariance_inequality`` and
 ``dense_covariance_witness`` are the same for the two-block covariance
 inequality and the harness's covariance matrix, on full 2**N x 2**N
 operators.  ``random_states`` is the seeded pure and mixed input the
-marginal routes are checked on, and ``random_scenario`` the seeded planar
-or Bloch scenario, drawn as the harness draws it.
+marginal routes are checked on, ``random_scenario_from`` the planar or
+Bloch scenario that one harness trial draws from a stream, built on its
+own, and ``random_scenario`` the same from a fresh seeded stream.
 ``numpy_jacobi_eigenvalues`` is the library's cyclic Jacobi sweep as it ran
 on one numpy array, row and column slices at a time, kept as the bit-for-bit
 reference for each matrix of the stacked sweep in ``linalg.jacobi_eigenvalues``.
@@ -50,7 +51,7 @@ block draws of ``SplitMix64.normals``.  ``slot_planar_observable``,
 scenario one 2x2 slot at a time, and ``triple_loop_directions`` draws its
 Bloch directions one triple at a time: the bit-for-bit references for the
 stacked builders, the stacked check of ``MeasurementScenario`` and the
-block draw of ``_random_scenario_from``.
+block draw of the harness's ``_scenario_draw``.
 """
 
 import itertools
@@ -334,13 +335,21 @@ def random_states(seed, n_parties):
     return QuantumState.pure(vecs[0]), QuantumState.mixed((rho + rho.conj().T) / 2.0)
 
 
+def random_scenario_from(rng, n_parties, family):
+    """The harness's scenario draw ("planar" or "bloch") from ``rng``, as
+    one trial's own build: the reference for a slice of a queue's build."""
+    from bellbounds.experiments import _scenario_draw
+    from bellbounds.observables import MeasurementScenario
+
+    return getattr(MeasurementScenario, family)(_scenario_draw(rng, n_parties, family))
+
+
 def random_scenario(seed, n_parties, family="planar"):
     """The harness's scenario draw ("planar" or "bloch") from a fresh
     SplitMix64(seed) stream."""
-    from bellbounds.experiments import _random_scenario_from
     from bellbounds.rng import SplitMix64
 
-    return _random_scenario_from(SplitMix64(seed), n_parties, family)
+    return random_scenario_from(SplitMix64(seed), n_parties, family)
 
 
 def ghz_planar_correlator(thetas) -> float:

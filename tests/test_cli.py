@@ -312,13 +312,18 @@ class TestVerifyVerb:
             "witness_svetlichny",
         ]
         psd = witnesses["witness_psd"]
-        assert set(psd) == {"trial", "n", "seed"}
+        assert set(psd) == {"trial", "n", "seed", "kind", "family"}
+        assert psd["kind"] in ("pure", "mixed") and psd["family"] in ("planar", "bloch")
         replay = ["verify", "--seed", psd["seed"], "--trials", "1"]
         assert run(replay + ["--n-min", psd["n"], "--n-max", psd["n"]]) == 0
         def psd_line(out):
             return [row for row in out.splitlines() if row.startswith("worst_psd_eigen=")]
 
-        assert psd_line(capsys.readouterr().out) == psd_line(captured.out)
+        replayed = capsys.readouterr()
+        assert psd_line(replayed.out) == psd_line(captured.out)
+        fields = {**psd, "trial": "0"}
+        line = "witness_psd " + " ".join(f"{key}={fields[key]}" for key in ("trial", "n", "seed", "kind", "family"))
+        assert line in replayed.err.splitlines()
 
 
 class TestOptimizeVerb:

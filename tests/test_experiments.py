@@ -32,7 +32,9 @@ from bellbounds.experiments import (
     verify_bounds_random,
     write_sweep_csv,
 )
+from bellbounds import observables
 from bellbounds.linalg import pauli_tensor
+from bellbounds.observables import MeasurementScenario
 from bellbounds.rng import SplitMix64
 
 from blas_kernel import kernel_pins
@@ -47,6 +49,7 @@ from oracles import (
     point_setting_rows,
     point_tensor_value,
     poly_ghz_value,
+    random_scenario_from,
     random_states,
     scalar_nelder_mead,
     scalar_normal,
@@ -184,7 +187,7 @@ class TestSplitMix64:
         values = [0.0, -0.0, 0.0, 0.3, -1.2, 0.5, 1e-170, 0.0, -1e-170] + tail
         for n_parties in (1, 2, 3, 5):
             block, single = ListStream(values), ListStream(values)
-            got = experiments._random_scenario_from(block, n_parties, "bloch").locals
+            got = random_scenario_from(block, n_parties, "bloch").locals
             want = slot_by_slot_bloch(triple_loop_directions(single.normal, n_parties))
             assert got.tobytes() == want.tobytes()
             assert block.used == single.used == 3 * (2 * n_parties + 2)
@@ -333,10 +336,11 @@ class TestVerifyBoundsRandom:
             "psd": "worst_psd_eigen",
         }
         assert set(report.witnesses) == set(fields)
-        for check, (trial, n, seed) in report.witnesses.items():
+        for check, (trial, n, seed, kind, family) in report.witnesses.items():
             assert n == 2 + trial % 4
             replay = verify_bounds_random(seed, 1, n, n)
             assert getattr(replay, fields[check]) == getattr(report, fields[check]), check
+            assert replay.witnesses[check] == (0, n, seed, kind, family), check
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_psd_stack_bound_leaves_the_report_alone(self, monkeypatch, seed):
@@ -357,11 +361,56 @@ class TestVerifyBoundsRandom:
             reports[bound] = verify_bounds_random(seed, 60, 2, 6)
             assert sum(stacks) == 60 and max(stacks) <= bound
         first = reports.pop(1)
-        assert set(first.witnesses) >= {"svetlichny", "mk", "covariance", "psd"}
+        assert set(first.witnesses) == {"svetlichny", "mk", "covariance", "covariance_distinct", "psd"}
         for report in reports.values():
             assert report == first
-            for check in ("svetlichny", "mk", "psd"):
+            for check in ("svetlichny", "mk", "covariance", "covariance_distinct", "psd"):
                 assert report.witnesses[check] == first.witnesses[check], check
+
+    @pytest.mark.parametrize("n_parties", range(2, 7))
+    def test_queue_build_equals_each_trials_own_build(self, monkeypatch, n_parties):
+        # Each queue builds one scenario per family over its trials' draws;
+        # a trial's slice of it must equal the scenario that trial's draw
+        # alone builds, read from a copy of the stream at that draw.  One N
+        # and a bound of 7 give three queues, run in trial order.
+        draws, scenarios = [], {}
+        scenario_draw, realize_ = experiments._scenario_draw, experiments.realize
+
+        def recording_draw(rng, n, family):
+            twin = SplitMix64(0)
+            twin.state, twin._spare = rng.state, rng._spare
+            draws.append((twin, family))
+            return scenario_draw(rng, n, family)
+
+        def recording_realize(polynomial, scenario):
+            scenarios.setdefault(id(scenario), scenario)  # held, so no id is reused
+            return realize_(polynomial, scenario)
+
+        monkeypatch.setattr(experiments, "_scenario_draw", recording_draw)
+        monkeypatch.setattr(experiments, "realize", recording_realize)
+        builds, checks = [], []
+        for family in ("planar", "bloch"):
+            build = getattr(MeasurementScenario, family).__func__
+
+            def counted(cls, arg, family=family, build=build):
+                builds.append(family)
+                return build(cls, arg)
+
+            monkeypatch.setattr(MeasurementScenario, family, classmethod(counted))
+        validate = observables.validate_dichotomic
+        monkeypatch.setattr(observables, "validate_dichotomic", lambda m: checks.append(1) or validate(m))
+        monkeypatch.setattr(experiments, "PSD_STACK", 7)
+        report = verify_bounds_random(800 + n_parties, 20, n_parties, n_parties)
+        assert report.violations == 0
+        assert {family for _, family in draws} == {"planar", "bloch"}
+        assert builds.count("planar") <= 3 and builds.count("bloch") <= 3
+        assert checks == []
+        monkeypatch.undo()  # the references draw and build unrecorded
+        assert len(draws) == len(scenarios) == 20
+        for (twin, family), scenario in zip(draws, scenarios.values(), strict=True):
+            want = random_scenario_from(twin, n_parties, family)
+            assert scenario.locals.tobytes() == want.locals.tobytes()
+            assert scenario.angles == want.angles
 
     def test_tied_psd_margins_go_to_the_first_trial(self, monkeypatch):
         # A stack takes its pure states before its mixed ones, so with a
@@ -370,7 +419,7 @@ class TestVerifyBoundsRandom:
         monkeypatch.setattr(experiments, "jacobi_eigenvalues", lambda c: np.zeros(c.shape[:2]))
         report = verify_bounds_random(seed, 20, 2, 2)
         assert report.worst_psd_eigen == 0.0
-        assert report.witnesses["psd"] == (0, 2, seed)
+        assert report.witnesses["psd"][:4] == (0, 2, seed, "mixed")
 
     def test_tied_bound_margins_go_to_the_first_trial(self, monkeypatch):
         # Every N = 3 trial gets eta = chi+- = 0 and |value| = 0, so every
@@ -386,7 +435,8 @@ class TestVerifyBoundsRandom:
         report = verify_bounds_random(seed, 20, 3, 3)
         assert report.worst_slack_svetlichny == 4.0 * math.sqrt(2.0)
         assert report.worst_slack_mk == 2.0 * math.sqrt(2.0)
-        assert report.witnesses["svetlichny"] == report.witnesses["mk"] == (0, 3, seed)
+        assert report.witnesses["svetlichny"] == report.witnesses["mk"]
+        assert report.witnesses["mk"][:4] == (0, 3, seed, "mixed")
 
     def test_no_normal_is_cached_at_a_trial_start(self, monkeypatch):
         # otherwise S_t alone would not fix the trial's draws

@@ -34,11 +34,11 @@ from bellbounds.observables import (
 from bellbounds.polynomials import realize, svetlichny
 
 from bellbounds import observables
-from bellbounds.experiments import _random_scenario_from
 from bellbounds.rng import SplitMix64
 
 from oracles import (
     random_scenario,
+    random_scenario_from,
     scalar_normal,
     slot_bloch_observable,
     slot_by_slot_bloch,
@@ -307,6 +307,26 @@ class TestMeasurementScenario:
             assert np.shares_memory(obs.local, scenario.locals)
             assert np.array_equal(obs.local, scenario.locals[party - 1, setting])
 
+    def test_parts_are_views_of_their_runs(self, monkeypatch):
+        for scenario in (
+            MeasurementScenario.planar([(0.1 * p, -0.2 * p) for p in range(6)]),
+            MeasurementScenario.bloch(seeded_directions(np.random.default_rng(3), 6)),
+        ):
+            monkeypatch.setattr(observables, "validate_dichotomic", None)  # no check runs
+            for size in (1, 2, 3, 6):
+                parts = scenario.parts(size)
+                assert len(parts) == 6 // size
+                for index, part in enumerate(parts):
+                    run = slice(index * size, (index + 1) * size)
+                    assert part.n_parties == size and not part.locals.flags.writeable
+                    assert np.shares_memory(part.locals, scenario.locals)
+                    assert part.locals.tobytes() == scenario.locals[run].tobytes()
+                    assert part.angles == (None if scenario.angles is None else scenario.angles[run])
+            monkeypatch.undo()
+            for size in (0, 4, 7):
+                with pytest.raises(ValueError, match="do not split"):
+                    scenario.parts(size)
+
     @pytest.mark.parametrize(
         "pairs, error, message",
         [
@@ -381,11 +401,11 @@ class TestStackedScenarioBuild:
             assert got.tobytes() == slot_by_slot_bloch(directions).tobytes()
             # the harness's draws, against the triple-by-triple draw
             stream, twin = SplitMix64(seed), SplitMix64(seed)
-            got = _random_scenario_from(stream, n_parties, "planar").locals
+            got = random_scenario_from(stream, n_parties, "planar").locals
             want = [(2.0 * math.pi * twin.uniform(), 2.0 * math.pi * twin.uniform())
                     for _ in range(n_parties)]
             assert got.tobytes() == slot_by_slot_planar(want).tobytes()
-            got = _random_scenario_from(stream, n_parties, "bloch").locals
+            got = random_scenario_from(stream, n_parties, "bloch").locals
             want = triple_loop_directions(lambda: scalar_normal(twin), n_parties)
             assert got.tobytes() == slot_by_slot_bloch(want).tobytes()
             assert (stream.state, stream._spare) == (twin.state, twin._spare)
@@ -425,7 +445,7 @@ class TestStackedScenarioBuild:
                 write_scenario_file(random_scenario(9300 + n_parties, n_parties, kind), path)
                 read_scenario_file(path)
             else:
-                _random_scenario_from(SplitMix64(n_parties), n_parties, family[6:])
+                random_scenario_from(SplitMix64(n_parties), n_parties, family[6:])
         assert checks == []
         DichotomicObservable(SIGMA_X, 1, 0)  # the scalar check still runs on its own
         assert checks == [1]
